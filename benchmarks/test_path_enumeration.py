@@ -25,13 +25,6 @@ import time
 
 from repro import AnalysisConfig, Canary
 from repro.bench import write_bench_results
-from repro.smt.solver import (
-    IncrementalSolver,
-    Solver,
-    reset_warm_solvers,
-    warm_solver_counters,
-)
-from repro.smt.terms import and_, bool_var, int_var, lt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "BENCH_enumeration.json"
@@ -196,72 +189,6 @@ def test_streaming_no_slower_than_batch():
         batch_wall_s=round(batch_wall, 4),
         streaming_wall_s=round(stream_wall, 4),
         keys=len(_keys(stream)),
-    )
-
-
-def test_incremental_smt_sibling_paths():
-    """End to end: sibling path queries against one sink family routed
-    through the warm per-sink solver must produce identical bug keys and
-    demonstrably share work (conjunct reuse, retained theory lemmas)."""
-    text = _shared_slot_program(n_workers=12, n_readers=2)
-    reset_warm_solvers()
-    off, off_wall, _, _ = _run(text, incremental_smt=False)
-    assert warm_solver_counters()["warm_families"] == 0  # ablation is real
-    reset_warm_solvers()
-    on, on_wall, _, _ = _run(text, incremental_smt=True)
-    warm = warm_solver_counters()
-    reset_warm_solvers()
-    assert _keys(off) == _keys(on)  # exactness w.r.t. reported bug keys
-    assert warm["queries"] > 0
-    assert warm["conjuncts_reused"] > 0, "sibling overlap was not shared"
-    _record(
-        "incremental_smt",
-        keys=len(_keys(on)),
-        warm_queries=warm["queries"],
-        conjuncts_new=warm["conjuncts_new"],
-        conjuncts_reused=warm["conjuncts_reused"],
-        theory_lemmas=warm["theory_lemmas"],
-        oneshot_wall_s=round(off_wall, 4),
-        incremental_wall_s=round(on_wall, 4),
-    )
-
-
-def test_incremental_smt_warm_vs_oneshot_microbench():
-    """The solver-layer win in isolation: 24 sibling formulas sharing a
-    12-conjunct order prefix, solved one-shot each vs one warm solver."""
-    prefix = [lt(int_var(f"t{i}"), int_var(f"t{i + 1}")) for i in range(12)]
-    formulas = []
-    for k in range(24):
-        tail = [lt(int_var(f"t{k % 12}"), int_var(f"u{k}")), bool_var(f"g{k}")]
-        formulas.append(and_(*(prefix + tail)))
-
-    t0 = time.perf_counter()
-    oneshot = []
-    for formula in formulas:
-        solver = Solver()
-        solver.add(formula)
-        oneshot.append(solver.check())
-    oneshot_wall = time.perf_counter() - t0
-
-    warm = IncrementalSolver()
-    t0 = time.perf_counter()
-    warmed = [warm.check_formula(formula)[0] for formula in formulas]
-    warm_wall = time.perf_counter() - t0
-
-    assert oneshot == warmed
-    stats = warm.statistics
-    # Every query after the first reuses the entire shared prefix: the
-    # warm solver encodes each distinct conjunct exactly once.
-    assert stats["conjuncts_reused"] >= 12 * 23
-    assert stats["conjuncts_new"] == 12 + 2 * 24
-    _record(
-        "incremental_smt_micro",
-        queries=len(formulas),
-        conjuncts_new=stats["conjuncts_new"],
-        conjuncts_reused=stats["conjuncts_reused"],
-        oneshot_wall_s=round(oneshot_wall, 4),
-        incremental_wall_s=round(warm_wall, 4),
-        speedup=round(oneshot_wall / max(warm_wall, 1e-9), 2),
     )
 
 

@@ -105,13 +105,6 @@ def main(argv=None) -> int:
         " (reference enumeration, for debugging and ablation)",
     )
     parser.add_argument(
-        "--no-incremental-smt",
-        action="store_true",
-        help="solve every path query one-shot instead of through the warm"
-        " per-sink incremental solvers (debugging and ablation; bug"
-        " reports are identical either way)",
-    )
-    parser.add_argument(
         "--summary-workers",
         type=int,
         default=1,
@@ -232,7 +225,6 @@ def main(argv=None) -> int:
         solver_workers=args.workers,
         solver_backend=args.backend,
         cube_and_conquer=args.cube,
-        incremental_smt=not args.no_incremental_smt,
         summaries=not args.no_summaries,
         summary_workers=args.summary_workers,
         detect_workers=args.detect_workers,

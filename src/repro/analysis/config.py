@@ -67,10 +67,6 @@ class AnalysisConfig:
     verdict_cache: bool = True
     #: use cube-and-conquer splitting for path queries (paper §5.2)
     cube_and_conquer: bool = False
-    #: route sibling path queries through warm per-sink incremental SMT
-    #: solvers (assumption-based, ship-once/assume-many); exact w.r.t.
-    #: reported bug keys, ignored under cube_and_conquer
-    incremental_smt: bool = True
     #: per-function value-flow/escape summaries between Alg. 1 and
     #: Alg. 2: interference runs its fixpoint over indexed, demand-loaded
     #: function spans instead of whole-VFG scans (exact w.r.t. bug keys)

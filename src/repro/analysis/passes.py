@@ -44,7 +44,6 @@ from ..lowering import LoweringCache, lower_program_incremental
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..pointer.steensgaard import steensgaard
-from ..smt.solver import warm_solver_counters
 from ..threads.callgraph import build_thread_call_graph
 from ..threads.mhp import MhpAnalysis
 from ..vfg.builder import VFGBundle
@@ -606,12 +605,7 @@ class AnalysisPipeline:
             budget=budget,
             metrics=self.registry,
             tracer=self.tracer,
-            incremental_smt=cfg.incremental_smt,
         )
-        # Snapshot the in-process warm-solver counters so the detection
-        # phase's delta lands in the run registry (worker-side counters
-        # stay in their processes; serial/thread runs see the full story).
-        warm_before = warm_solver_counters()
         limits = SearchLimits(
             max_depth=cfg.max_path_depth,
             max_paths_per_source=cfg.max_paths_per_source,
@@ -695,14 +689,6 @@ class AnalysisPipeline:
                         "truncations": truncations,
                     },
                 )
-
-        warm_after = warm_solver_counters()
-        for key, value in warm_after.items():
-            delta = value - warm_before.get(key, 0)
-            if key == "warm_families":
-                delta = value  # a gauge, not a monotonic counter
-            if delta:
-                self.registry.counter(f"solver.incremental_{key}").add(delta)
         return finish()
 
     # ----- helpers ----------------------------------------------------------

@@ -670,7 +670,6 @@ class SourceSinkChecker:
                 "memory_model": realizability.orders.memory_model,
                 "model_locks": realizability.orders.lock_analysis is not None,
                 "solver_timeout": realizability.solver_timeout,
-                "incremental_smt": realizability.incremental_smt,
             },
         }
         try:

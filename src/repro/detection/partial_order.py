@@ -281,19 +281,12 @@ class OrderConstraintBuilder:
         """Can ``other`` possibly execute between ``store`` and ``load``?
 
         Statically-ordered stores (happens-before the store, or after the
-        load) cannot; everything else — in particular stores that may
-        happen in parallel with either endpoint — can.
+        load) cannot; everything else can: stores that may happen in
+        parallel with either endpoint, and same-thread stores between the
+        endpoints (the intra-procedural kill analysis already refined the
+        edge guard, but cross-function same-thread stores still need the
+        constraint).
         """
         if self.mhp.happens_before(other, store):
             return False
-        if self.mhp.happens_before(load, other):
-            return False
-        mhp_any = self.mhp.may_happen_in_parallel(
-            other, store
-        ) or self.mhp.may_happen_in_parallel(other, load)
-        if mhp_any:
-            return True
-        # Same-thread store strictly between the two endpoints: the
-        # intra-procedural kill analysis already refined the edge guard,
-        # but cross-function same-thread stores still need the constraint.
-        return True
+        return not self.mhp.happens_before(load, other)

@@ -160,28 +160,21 @@ class VerdictCache:
 def _solve_payload(payload):
     """Module-level process-pool target (must be picklable by name).
 
-    The payload is ``(formula, max_conflicts, use_cube, timeout, family)``
-    or — when tracing is on — a 6-tuple whose last element is the
-    submitting span's :class:`~repro.obs.tracer.SpanContext` (or
-    ``None``).  With a 6-tuple the return grows a sixth element: the
-    worker's span records, which ride back for
-    :meth:`~repro.obs.tracer.Tracer.ingest` so a query solved in another
-    process still nests under its checker span.
-
-    ``family`` (a string or ``None``) keys the worker's warm
-    per-sink-family :class:`~repro.smt.solver.IncrementalSolver`; pool
-    workers live for the whole stream, so sibling queries landing on the
-    same worker reuse its CNF encoding, learnt clauses, and theory
-    lemmas.
+    The payload is ``(formula, max_conflicts, use_cube, timeout)`` or —
+    when tracing is on — a 5-tuple whose last element is the submitting
+    span's :class:`~repro.obs.tracer.SpanContext` (or ``None``).  With a
+    5-tuple the return grows a sixth element: the worker's span records,
+    which ride back for :meth:`~repro.obs.tracer.Tracer.ingest` so a
+    query solved in another process still nests under its checker span.
     """
     from ..testing.faults import fault_point
 
     recorder = None
-    if len(payload) == 6:
-        formula, max_conflicts, use_cube, timeout, family, ctx = payload
+    if len(payload) == 5:
+        formula, max_conflicts, use_cube, timeout, ctx = payload
         recorder = SpanRecorder(ctx)
     else:
-        formula, max_conflicts, use_cube, timeout, family = payload
+        formula, max_conflicts, use_cube, timeout = payload
     fault_point("worker:solve")  # pool-death injection site (workers only)
     if recorder is None:
         return solve_formula(
@@ -189,7 +182,6 @@ def _solve_payload(payload):
             max_conflicts=max_conflicts,
             use_cube=use_cube,
             timeout=timeout,
-            family=family,
         )
     with recorder.span("solver.query", pooled=True) as span:
         result = solve_formula(
@@ -198,7 +190,6 @@ def _solve_payload(payload):
             use_cube=use_cube,
             timeout=timeout,
             recorder=recorder,
-            family=family,
         )
         span.set("verdict", result[0])
     return result + (recorder.records,)
@@ -221,8 +212,6 @@ class RealizabilityChecker:
         budget=None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        incremental_smt: bool = True,
-        warm_family_threshold: int = 3,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown solver backend {backend!r} (want one of {BACKENDS})")
@@ -231,17 +220,6 @@ class RealizabilityChecker:
             bundle, lock_analysis=lock_analysis, memory_model=memory_model
         )
         self.use_cube_and_conquer = use_cube_and_conquer
-        #: route queries through warm per-sink-family incremental solvers
-        #: (assumption-based; disabled automatically under cube-and-conquer)
-        self.incremental_smt = incremental_smt and not use_cube_and_conquer
-        #: warm solving only pays off once a sink family has enough
-        #: sibling queries to amortize the solver's clause-shipping setup;
-        #: the first ``warm_family_threshold`` queries of each family
-        #: solve one-shot, later siblings route to the warm solver.  This
-        #: removes the end-to-end overhead on small families (most corpus
-        #: sinks see one or two queries) while keeping the big-family win.
-        self.warm_family_threshold = max(0, warm_family_threshold)
-        self._family_counts: Dict[str, int] = {}
         self.solver_max_conflicts = solver_max_conflicts
         self.solver_timeout = solver_timeout
         #: optional repro.analysis.budget.Budget — clips per-query
@@ -450,29 +428,13 @@ class RealizabilityChecker:
                 witness_env["ints"][name] = value
         return RealizabilityResult(True, SAT, formula, witness, witness_env)
 
-    def family_for(self, query: PathQuery) -> Optional[str]:
-        """The query's path-family key — sibling paths enumerated from one
-        sink share guard prefixes and Φ_po skeletons, so the sink labels
-        the warm incremental solver they should all hit.  ``None`` means
-        solve one-shot (incremental solving off, or no sink to key by)."""
-        if not self.incremental_smt or query.sink_inst is None:
-            return None
-        family = f"sink:{query.sink_inst.label}"
-        with self._stats_lock:
-            count = self._family_counts.get(family, 0) + 1
-            self._family_counts[family] = count
-        if count <= self.warm_family_threshold:
-            return None  # family not yet proven hot: one-shot is cheaper
-        return family
-
     def check(self, query: PathQuery) -> RealizabilityResult:
-        return self.check_formula(self.formula_for(query), family=self.family_for(query))
+        return self.check_formula(self.formula_for(query))
 
     def check_formula(
         self,
         formula: BoolTerm,
         parent: Optional[SpanContext] = None,
-        family: Optional[str] = None,
     ) -> RealizabilityResult:
         """Decide one assembled Φ_all, consulting the verdict cache.
 
@@ -500,7 +462,6 @@ class RealizabilityChecker:
                 use_cube=self.use_cube_and_conquer,
                 timeout=self.query_timeout(),
                 recorder=recorder,
-                family=family,
             )
             span.set("verdict", verdict)
             if reason:
@@ -535,10 +496,9 @@ class RealizabilityChecker:
         # Formula assembly touches the VFG bundle and order builder, so it
         # stays in the parent; only pure terms cross the pool boundary.
         formulas = [self.formula_for(q) for q in queries]
-        families = [self.family_for(q) for q in queries]
         if backend == "process":
             try:
-                return self._check_formulas_process(formulas, max_workers, families)
+                return self._check_formulas_process(formulas, max_workers)
             except (OSError, RuntimeError, ImportError) as exc:
                 # e.g. sandboxed fork or a dead worker (BrokenProcessPool is
                 # a RuntimeError) — record it, degrade to the thread pool.
@@ -548,10 +508,7 @@ class RealizabilityChecker:
         ctx = self.tracer.current_context()
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             return list(
-                pool.map(
-                    lambda pair: self.check_formula(pair[0], parent=ctx, family=pair[1]),
-                    zip(formulas, families),
-                )
+                pool.map(lambda f: self.check_formula(f, parent=ctx), formulas)
             )
 
     def open_stream(
@@ -574,13 +531,11 @@ class RealizabilityChecker:
         self,
         formulas: Sequence[BoolTerm],
         max_workers: int,
-        families: Optional[Sequence[Optional[str]]] = None,
     ) -> List[RealizabilityResult]:
         cache = self.cache
         results: List[Optional[RealizabilityResult]] = [None] * len(formulas)
         cached: List[Tuple[int, BoolTerm, _CacheEntry]] = []
         todo: Dict[BoolTerm, List[int]] = {}
-        family_of: Dict[BoolTerm, Optional[str]] = {}
         for i, formula in enumerate(formulas):
             entry = cache.peek(formula) if cache is not None else None
             if entry is not None:
@@ -589,8 +544,6 @@ class RealizabilityChecker:
                 # Duplicate formulas are solved once (interning makes the
                 # dict collapse them) and fanned back out below.
                 todo.setdefault(formula, []).append(i)
-                if families is not None and formula not in family_of:
-                    family_of[formula] = families[i]
         unique = list(todo)
         solved = []
         if unique:
@@ -598,11 +551,9 @@ class RealizabilityChecker:
             base = (self.solver_max_conflicts, self.use_cube_and_conquer, timeout)
             if self.tracer.enabled:
                 ctx = self.tracer.current_context()
-                payloads = [
-                    (f,) + base + (family_of.get(f), ctx) for f in unique
-                ]
+                payloads = [(f,) + base + (ctx,) for f in unique]
             else:
-                payloads = [(f,) + base + (family_of.get(f),) for f in unique]
+                payloads = [(f,) + base for f in unique]
             chunksize = max(1, len(payloads) // (4 * max_workers))
             # Raising here (before any statistics commit) lets check_many
             # fall back to the thread pool with exact counters.
@@ -681,8 +632,6 @@ class StreamingSolver:
         #: per submission: (formula, disposition, cached-entry-or-None)
         self._entries: List[Tuple[BoolTerm, str, Optional[_CacheEntry]]] = []
         self._futures: Dict[BoolTerm, Future] = {}
-        #: path-family key per unique formula (first submission wins)
-        self._families: Dict[BoolTerm, Optional[str]] = {}
         self._finished = False
 
     # ----- producing ---------------------------------------------------------
@@ -706,8 +655,7 @@ class StreamingSolver:
         """Assemble and enqueue one query; returns its submission ordinal."""
         if self._finished:
             raise RuntimeError("stream already finished")
-        formula = self.checker.formula_for(query)
-        return self.submit_formula(formula, family=self.checker.family_for(query))
+        return self.submit_formula(self.checker.formula_for(query))
 
     def _payload(self, formula: BoolTerm):
         """One worker payload; tracing appends the submitting thread's
@@ -718,13 +666,12 @@ class StreamingSolver:
             checker.solver_max_conflicts,
             checker.use_cube_and_conquer,
             checker.query_timeout(),
-            self._families.get(formula),
         )
         if checker.tracer.enabled:
             return base + (checker.tracer.current_context(),)
         return base
 
-    def submit_formula(self, formula: BoolTerm, family: Optional[str] = None) -> int:
+    def submit_formula(self, formula: BoolTerm) -> int:
         cache = self.checker.cache
         entry = cache.peek(formula) if cache is not None else None
         if entry is not None:
@@ -733,8 +680,6 @@ class StreamingSolver:
         if formula in self._futures:
             self._entries.append((formula, "dup", None))
             return len(self._entries) - 1
-        if family is not None:
-            self._families.setdefault(formula, family)
         pool = self._ensure_pool()
         future: Optional[Future] = None
         if pool is not None:
@@ -835,7 +780,6 @@ class StreamingSolver:
                                 use_cube=checker.use_cube_and_conquer,
                                 timeout=checker.query_timeout(),
                                 recorder=recorder,
-                                family=self._families.get(formula),
                             )
                             qspan.set("verdict", data[0])
                         if recorder is not None:

@@ -164,8 +164,7 @@ class ValueFlowPath:
 # each candidate carries its true serial (source-index, sequence) ordinal.
 # The parent merges rows sorted by that ordinal and replays the serial
 # reporting policy, which makes the reported bug keys byte-identical to a
-# serial run at every worker count.  Keeping whole sink families on one
-# worker also preserves the warm per-sink incremental-solver locality.
+# serial run at every worker count.
 
 
 def partition_sink_labels(labels, shards: int) -> List[Tuple[int, ...]]:
@@ -223,7 +222,6 @@ def _detect_shard(shard: Tuple[int, ...]) -> dict:
         backend="thread",
         cache=VerdictCache(),
         solver_timeout=solver_cfg["solver_timeout"],
-        incremental_smt=solver_cfg["incremental_smt"],
     )
     kwargs = payload["checker_kwargs"]
     checker = ALL_CHECKERS[payload["kind"]](
@@ -405,11 +403,9 @@ class PathSearcher:
                 continue
             pushed = False
             if prefix is not None and edge.guard is not TRUE:
-                # The prefix grows/shrinks in strict DFS (stack) order —
-                # the same discipline the incremental SMT layer uses for
-                # its assumption scopes, so sibling paths diverging late
-                # share both their quick-check state here and their
-                # warm-solver clauses downstream.
+                # The prefix grows/shrinks in strict DFS (stack) order, so
+                # sibling paths diverging late share their quick-check
+                # state.
                 pushed = True
                 if prefix.push(edge.guard):
                     # Prefix definitely unsat ⇒ every completed path

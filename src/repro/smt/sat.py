@@ -1,4 +1,4 @@
-"""CDCL SAT solver with assumption-based incremental solving.
+"""CDCL SAT solver.
 
 A self-contained conflict-driven clause-learning solver with the standard
 modern ingredients: two-watched-literal propagation, first-UIP conflict
@@ -7,36 +7,17 @@ activity-driven learnt-clause garbage collection.  It is the
 propositional engine underneath the lazy DPLL(T) loop in
 :mod:`repro.smt.solver`.
 
-The solver is designed to stay *warm* across many related queries:
-
-* :meth:`SatSolver.solve` accepts ``assumptions`` — literals asserted as
-  pseudo-decisions for the duration of one call (MiniSat style).  An
-  UNSAT answer under assumptions does not poison the instance: the
-  responsible subset is reported in :attr:`SatSolver.failed_assumptions`
-  and the solver stays usable, with every learnt clause (which mentions
-  the negated assumptions explicitly) remaining globally valid.
-* :meth:`SatSolver.push` / :meth:`SatSolver.pop` delimit clause scopes:
-  ``pop`` detaches the clauses added in the innermost scope, unwinds the
-  root-trail to its savepoint, and discards learnt clauses derived while
-  the scope was active.
-* Learnt clauses carry activities; when the learnt database outgrows its
-  budget, :meth:`_reduce_db` drops the cold half (never binary clauses or
-  clauses locked as propagation reasons).
-
 Clauses may be added between :meth:`SatSolver.solve` calls (the DPLL(T)
 loop adds theory blocking clauses this way); the solver always returns to
 decision level zero before yielding control, on *every* exit path —
-including the conflict-budget and deadline UNKNOWN exits — so a warm
-instance can always be re-solved.
+including the conflict-budget and deadline UNKNOWN exits — so an
+instance can always be re-solved after more clauses arrive.  Root
+assignments are permanent, so ``add_clause`` drops root-falsified
+literals and skips root-satisfied clauses outright.
 
-Root-level simplification is scope-aware: ``add_clause`` may drop a
-literal falsified by a root assignment (or skip a clause satisfied by
-one) only when that assignment's scope is no deeper than the clause's
-target scope — i.e. when the simplification is valid for the clause's
-whole lifetime.  Otherwise the simplified form is attached at the
-*dependency's* scope and the original literals are queued for re-addition
-when that scope pops, so popping an assumption-scope never leaves an
-over-simplified clause behind.
+Learnt clauses carry activities; when the learnt database outgrows its
+budget, :meth:`SatSolver._reduce_db` drops the cold half (never binary
+clauses or clauses locked as propagation reasons).
 
 Literals follow the DIMACS convention: variable ``v`` is the positive
 integer ``v`` and its negation is ``-v``.
@@ -81,31 +62,13 @@ def _luby(i: int) -> int:
 
 
 class _Clause:
-    __slots__ = ("lits", "learnt", "activity", "removed", "scope")
+    __slots__ = ("lits", "learnt", "activity", "removed")
 
-    def __init__(self, lits: List[int], learnt: bool = False, scope: int = 0) -> None:
+    def __init__(self, lits: List[int], learnt: bool = False) -> None:
         self.lits = lits
         self.learnt = learnt
         self.activity = 0.0
         self.removed = False
-        #: scope depth the clause belongs to (learnt clauses: the depth
-        #: active when they were derived — they may resolve against scoped
-        #: clauses, so they are discarded when that scope pops)
-        self.scope = scope
-
-
-class _Scope:
-    """One clause scope: savepoints to unwind on :meth:`SatSolver.pop`."""
-
-    __slots__ = ("trail_len", "clauses", "respawn")
-
-    def __init__(self, trail_len: int) -> None:
-        self.trail_len = trail_len
-        #: clauses attached while this scope was innermost (detached on pop)
-        self.clauses: List[_Clause] = []
-        #: (target_scope, original_lits) to re-add after this scope pops —
-        #: clauses whose root simplification depended on this scope
-        self.respawn: List[Tuple[int, List[int]]] = []
 
 
 class SatSolver:
@@ -118,8 +81,6 @@ class SatSolver:
         self._assign: List[int] = []  # var-1 -> 0 unassigned, +1 true, -1 false
         self._level: List[int] = []
         self._reason: List[Optional[_Clause]] = []
-        #: scope depth active when the var was root-assigned (level 0 only)
-        self._assign_scope: List[int] = []
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
         self._prop_head = 0
@@ -129,27 +90,15 @@ class SatSolver:
         # indexed max-heap over variable activity (MiniSat's order_heap):
         # _heap holds var numbers, _heap_pos maps var-1 -> heap index (-1 =
         # not enqueued).  Decisions pop the root in O(log n) instead of
-        # scanning every variable — the difference between one-shot and
-        # warm instances whose variable population keeps growing.  The
-        # heap is rebuilt at every solve() from the decision-variable set
-        # of that call (see ``decision_vars``); between calls it is
-        # meaningless and variable activity is the source of truth.
+        # scanning every variable.  The heap is rebuilt at every solve();
+        # between calls variable activity is the source of truth.
         self._heap: List[int] = []
         self._heap_pos: List[int] = []
-        # decision restriction for the current solve(): when
-        # _dec_restricted, only vars stamped with the current _dec_stamp
-        # in _dec_mark may enter the heap (propagation may still assign
-        # any var)
-        self._dec_mark: List[int] = []
-        self._dec_stamp = 0
-        self._dec_restricted = False
         self._phase: List[bool] = []
         self._seen: List[bool] = []  # reusable conflict-analysis buffer
         self._seen_clear: List[int] = []
-        self._scopes: List[_Scope] = []
-        #: scope depth at which the instance became UNSAT (None = consistent;
-        #: 0 = globally UNSAT; d>0 = UNSAT until scope d pops)
-        self._unsat_scope: Optional[int] = None
+        #: False once the clause set is known UNSAT (root facts never retract)
+        self._ok = True
         self._learnts: List[_Clause] = []
         self._cla_inc = 1.0
         self._cla_decay = 0.999
@@ -163,39 +112,22 @@ class SatSolver:
         self.db_reductions = 0
         #: why the last solve() returned UNKNOWN ('conflicts'|'deadline')
         self.unknown_reason: Optional[str] = None
-        #: after an UNSAT under assumptions: the responsible subset of the
-        #: assumption literals (None when the last solve had none to blame)
-        self.failed_assumptions: Optional[List[int]] = None
-
-    @property
-    def _ok(self) -> bool:
-        return self._unsat_scope is None
-
-    @property
-    def ok(self) -> bool:
-        """False iff the clause set is UNSAT at the current scope depth."""
-        return self._unsat_scope is None
-
-    @property
-    def scope_depth(self) -> int:
-        return len(self._scopes)
 
     # ----- variable / clause management -------------------------------
 
     def ensure_var(self, v: int) -> None:
-        while self._num_vars < v:
-            self._num_vars += 1
-            self._assign.append(0)
-            self._level.append(-1)
-            self._reason.append(None)
-            self._assign_scope.append(0)
-            self._activity.append(0.0)
-            self._phase.append(False)
-            self._seen.append(False)
-            self._watches.append([])
-            self._watches.append([])
-            self._heap_pos.append(-1)
-            self._dec_mark.append(0)
+        grow = v - self._num_vars
+        if grow <= 0:
+            return
+        self._num_vars = v
+        self._assign.extend([0] * grow)
+        self._level.extend([-1] * grow)
+        self._reason.extend([None] * grow)
+        self._activity.extend([0.0] * grow)
+        self._phase.extend([False] * grow)
+        self._seen.extend([False] * grow)
+        self._watches.extend([[] for _ in range(2 * grow)])
+        self._heap_pos.extend([-1] * grow)
 
     # ----- activity heap ----------------------------------------------
 
@@ -238,162 +170,63 @@ class SatSolver:
     def _heap_insert(self, v: int) -> None:
         if self._heap_pos[v - 1] >= 0:
             return
-        if self._dec_restricted and self._dec_mark[v - 1] != self._dec_stamp:
-            return  # not a decision var of the current solve
         self._heap_pos[v - 1] = len(self._heap)
         self._heap.append(v)
         self._heap_sift_up(len(self._heap) - 1)
 
-    def _rebuild_heap(self, decision_vars: Optional[Iterable[int]]) -> None:
-        """Reset the decision heap for one solve() call.
-
-        ``decision_vars`` restricts branching to the given variables
-        (the active query's atom/gate/activation cluster on a warm
-        instance); ``None`` allows every variable.  Restriction is sound
-        for the DPLL(T) caller: clauses over inactive Tseitin clusters
-        are always extendable (gates are functionally determined by
-        their inputs, activation literals can be set false), learnt
-        clauses are resolvents of extendable clauses, and theory lemmas
-        are theory-valid — none of them can exclude a theory-consistent
-        assignment of the active atoms.  UNSAT answers are conflict
-        derivations and stay sound regardless of the restriction.
-        """
-        heap, pos = self._heap, self._heap_pos
+    def _rebuild_heap(self) -> None:
+        """Reset the decision heap to every unassigned variable."""
+        heap, pos, assign = self._heap, self._heap_pos, self._assign
         for v in heap:
             pos[v - 1] = -1
-        assign = self._assign
-        if decision_vars is None:
-            self._dec_restricted = False
-            heap[:] = [v for v in range(1, self._num_vars + 1) if assign[v - 1] == 0]
-        else:
-            self._dec_restricted = True
-            self._dec_stamp += 1
-            stamp, mark = self._dec_stamp, self._dec_mark
-            fresh = []
-            for v in decision_vars:
-                self.ensure_var(v)
-                if mark[v - 1] != stamp:
-                    mark[v - 1] = stamp
-                    if assign[v - 1] == 0:
-                        fresh.append(v)
-            heap[:] = fresh
+        heap[:] = [v for v in range(1, self._num_vars + 1) if assign[v - 1] == 0]
         # descending activity order is a valid max-heap
         act = self._activity
         heap.sort(key=lambda v: -act[v - 1])
         for i, v in enumerate(heap):
             pos[v - 1] = i
 
-    # ----- scope management -------------------------------------------
-
-    def push(self) -> None:
-        """Open a clause scope.  Must be called at decision level zero."""
-        assert not self._trail_lim, "push() requires decision level 0"
-        self._scopes.append(_Scope(len(self._trail)))
-
-    def pop(self) -> None:
-        """Close the innermost scope: detach its clauses, unwind its root
-        assignments, drop scope-tainted learnt clauses, and re-add any
-        clause whose root simplification depended on this scope."""
-        assert not self._trail_lim, "pop() requires decision level 0"
-        scope = self._scopes.pop()
-        depth = len(self._scopes)
-        for clause in scope.clauses:
-            clause.removed = True
-        # Learnt clauses derived while the scope was active may resolve
-        # against its clauses; drop them (watch lists are cleaned lazily).
-        kept: List[_Clause] = []
-        for clause in self._learnts:
-            if clause.scope > depth:
-                clause.removed = True
-            else:
-                kept.append(clause)
-        self._learnts = kept
-        for lit in reversed(self._trail[scope.trail_len :]):
-            idx = abs(lit) - 1
-            self._assign[idx] = 0
-            self._reason[idx] = None
-            self._heap_insert(idx + 1)
-        del self._trail[scope.trail_len :]
-        self._prop_head = min(self._prop_head, len(self._trail))
-        if self._unsat_scope is not None and self._unsat_scope > len(self._scopes):
-            self._unsat_scope = None
-        for target, lits in scope.respawn:
-            self.add_clause(lits, scope=target)
-
-    def add_clause(self, lits: Iterable[int], scope: Optional[int] = None) -> bool:
+    def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns False if the instance is now (or already)
-        UNSAT at the current scope depth.
+        UNSAT.
 
         Must be called at decision level zero (which holds whenever the
-        solver is not inside :meth:`solve`).  ``scope`` pins the clause to
-        an outer scope (0 = permanent) even while deeper scopes are
-        active; by default the clause joins the innermost scope.  Root
-        simplification against assignments from scopes deeper than
-        ``scope`` is recorded as a respawn dependency so the original
-        clause is restored when the deeper scope pops.
+        solver is not inside :meth:`solve`).  Root assignments never
+        retract, so literals they falsify are dropped and a clause one of
+        them satisfies is skipped.
         """
         assert not self._trail_lim, "clauses must be added at level 0"
-        depth = len(self._scopes)
-        if scope is None:
-            scope = depth
-        elif not 0 <= scope <= depth:
-            raise ValueError(f"scope {scope} not in [0, {depth}]")
-        original = list(lits)
-        if self._unsat_scope is not None:
-            if self._unsat_scope > scope:
-                # Currently UNSAT because of a deeper scope: remember the
-                # clause so it takes effect once that scope pops.
-                self._scopes[self._unsat_scope - 1].respawn.append((scope, original))
+        if not self._ok:
             return False
-        seen = set()
+        assign = self._assign
         out: List[int] = []
-        dep = 0  # deepest scope whose root assignment simplified the clause
-        for lit in original:
-            self.ensure_var(abs(lit))
-            if -lit in seen:
-                return True  # tautology
-            if lit in seen:
-                continue
-            val = self._value(lit)
-            if val == 1:
-                s = self._assign_scope[abs(lit) - 1]
-                if s <= scope:
-                    return True  # satisfied for the clause's whole lifetime
-                # Satisfied only while scope s lives: skip it for now but
-                # re-add the original when s pops.
-                self._scopes[s - 1].respawn.append((scope, original))
-                return True
-            if val == -1:
-                s = self._assign_scope[abs(lit) - 1]
-                if s > scope and s > dep:
-                    dep = s
+        for lit in lits:
+            var = lit if lit > 0 else -lit
+            if var > self._num_vars:
+                self.ensure_var(var)
+            val = assign[var - 1]
+            if val:
+                if (val > 0) == (lit > 0):
+                    return True  # satisfied at root
                 continue  # falsified at root: drop literal
-            seen.add(lit)
             out.append(lit)
-        attach = scope if dep <= scope else dep
+        if len(out) > 1:
+            unique = set(out)
+            if len(unique) < len(out):
+                out = list(dict.fromkeys(out))
+            for lit in out:
+                if -lit in unique:
+                    return True  # tautology
         if not out:
-            if dep > scope:
-                self._scopes[dep - 1].respawn.append((scope, original))
-            self._unsat_scope = attach
+            self._ok = False
             return False
         if len(out) == 1:
-            # The unit fact lives on the trail; trail truncation removes it
-            # when the *current* innermost scope pops (regardless of which
-            # scope simplified it away), so respawn from there.  Re-adding
-            # recomputes any remaining dependency against the new state.
-            if depth > scope:
-                self._scopes[depth - 1].respawn.append((scope, original))
             if not self._enqueue(out[0], None) or self._propagate() is not None:
-                self._unsat_scope = depth
+                self._ok = False
                 return False
             return True
-        if dep > scope:
-            self._scopes[dep - 1].respawn.append((scope, original))
-        clause = _Clause(out, scope=attach)
-        self._attach(clause)
+        self._attach(_Clause(out))
         self._num_clauses += 1
-        if attach > 0:
-            self._scopes[attach - 1].clauses.append(clause)
         return True
 
     def _attach(self, clause: _Clause) -> None:
@@ -405,26 +238,17 @@ class SatSolver:
 
     # ----- assignment primitives --------------------------------------
 
-    def _value(self, lit: int) -> int:
-        v = self._assign[abs(lit) - 1]
-        return v if lit > 0 else -v
-
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
     def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        val = self._value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
-        idx = abs(lit) - 1
+        idx = (lit if lit > 0 else -lit) - 1
+        val = self._assign[idx]
+        if val:
+            return (val > 0) == (lit > 0)
         self._assign[idx] = 1 if lit > 0 else -1
-        level = len(self._trail_lim)
-        self._level[idx] = level
+        self._level[idx] = len(self._trail_lim)
         self._reason[idx] = reason
-        if level == 0:
-            self._assign_scope[idx] = len(self._scopes)
         self._phase[idx] = lit > 0
         self._trail.append(lit)
         return True
@@ -433,6 +257,7 @@ class SatSolver:
         """Unit propagation; returns a conflicting clause or None."""
         watches = self._watches
         trail = self._trail
+        assign = self._assign
         while self._prop_head < len(trail):
             lit = trail[self._prop_head]
             self._prop_head += 1
@@ -449,22 +274,25 @@ class SatSolver:
                 lits = clause.lits
                 if lits[0] == -lit:
                     lits[0], lits[1] = lits[1], lits[0]
-                if self._value(lits[0]) == 1:
+                first = lits[0]
+                val = assign[abs(first) - 1]
+                if val and (val > 0) == (first > 0):
                     i += 1
                     continue
                 moved = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != -1:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        w = lits[1]
-                        watches[(abs(w) - 1) * 2 + (w > 0)].append(clause)
+                    other = lits[k]
+                    val = assign[abs(other) - 1]
+                    if not val or (val > 0) == (other > 0):
+                        lits[1], lits[k] = other, lits[1]
+                        watches[(abs(other) - 1) * 2 + (other > 0)].append(clause)
                         watchers[i] = watchers[-1]
                         watchers.pop()
                         moved = True
                         break
                 if moved:
                     continue
-                if not self._enqueue(lits[0], clause):
+                if not self._enqueue(first, clause):
                     self._prop_head = len(trail)
                     return clause
                 i += 1
@@ -537,36 +365,6 @@ class SatSolver:
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, self._level[abs(learnt[1]) - 1]
 
-    def _analyze_final(self, p: int) -> List[int]:
-        """The subset of the current assumptions that together with the
-        clause set forces ``p`` (a failed assumption) to be false."""
-        out = [p]
-        if self._decision_level() == 0:
-            return out
-        seen = self._seen
-        to_clear = [abs(p) - 1]
-        seen[abs(p) - 1] = True
-        bottom = self._trail_lim[0]
-        for i in range(len(self._trail) - 1, bottom - 1, -1):
-            lit = self._trail[i]
-            idx = abs(lit) - 1
-            if not seen[idx]:
-                continue
-            reason = self._reason[idx]
-            if reason is None:
-                # An assumption pseudo-decision contributing to the conflict
-                # (for directly contradictory assumptions this is ``-p``).
-                out.append(lit)
-            else:
-                for q in reason.lits:
-                    qi = abs(q) - 1
-                    if not seen[qi] and self._level[qi] > 0:
-                        seen[qi] = True
-                        to_clear.append(qi)
-        for v in to_clear:
-            seen[v] = False
-        return out
-
     def _backtrack(self, level: int) -> None:
         if self._decision_level() <= level:
             return
@@ -579,6 +377,33 @@ class SatSolver:
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._prop_head = min(self._prop_head, len(self._trail))
+
+    # ----- learnt-clause database --------------------------------------
+
+    def _reduce_db(self) -> int:
+        """Drop the cold half of the learnt database (activity order),
+        sparing binary clauses and clauses locked as propagation reasons.
+        Removal is lazy: watch lists evict flagged clauses on traversal."""
+        self.db_reductions += 1
+        locked = set()
+        for lit in self._trail:
+            reason = self._reason[abs(lit) - 1]
+            if reason is not None:
+                locked.add(id(reason))
+        learnts = sorted(self._learnts, key=lambda c: c.activity)
+        limit = len(learnts) // 2
+        kept: List[_Clause] = []
+        removed = 0
+        for i, clause in enumerate(learnts):
+            if i < limit and len(clause.lits) > 2 and id(clause) not in locked:
+                clause.removed = True
+                removed += 1
+            else:
+                kept.append(clause)
+        self._learnts = kept
+        return removed
+
+    # ----- search -------------------------------------------------------
 
     # ----- learnt-clause database --------------------------------------
 
@@ -629,48 +454,17 @@ class SatSolver:
         self,
         max_conflicts: Optional[int] = None,
         deadline: Optional[float] = None,
-        assumptions: Optional[Iterable[int]] = None,
-        model_vars: Optional[Iterable[int]] = None,
-        decision_vars: Optional[Iterable[int]] = None,
     ) -> str:
         """Run CDCL search to completion, the conflict budget, or the
         ``deadline`` (a ``time.monotonic`` instant), whichever is first.
-
-        ``assumptions`` are asserted as pseudo-decisions for this call
-        only (MiniSat style).  When they make the instance UNSAT the
-        responsible subset lands in :attr:`failed_assumptions`, the
-        solver stays consistent (:attr:`ok` remains True), and every
-        learnt clause remains globally valid.  All exit paths return at
-        decision level zero.
-
-        ``model_vars`` restricts :attr:`model` extraction on SAT to the
-        given variables — on a warm instance the full variable population
-        spans every query ever shipped, and callers usually only care
-        about the current query's atoms.
-
-        ``decision_vars`` restricts *branching* to the given variables
-        (propagation still assigns anything it can).  This is what keeps
-        a warm instance's per-query cost proportional to the query
-        instead of the accumulated database: inactive clusters are never
-        branched into.  See :meth:`_rebuild_heap` for the soundness
-        argument; plain propositional callers should leave it ``None``
-        (with a partial decision set, SAT means "no conflict on the
-        restricted search" — the DPLL(T) layer's theory check is what
-        makes that a real verdict).
-        """
+        All exit paths return at decision level zero."""
         self.unknown_reason = None
-        self.failed_assumptions = None
-        if self._unsat_scope is not None:
+        if not self._ok:
             return UNSAT
         if deadline is not None and time.monotonic() >= deadline:
             self.unknown_reason = "deadline"
             return UNKNOWN
-        assume: List[int] = list(assumptions) if assumptions else []
-        for lit in assume:
-            self.ensure_var(abs(lit))
-        self._rebuild_heap(decision_vars)
-        n_assume = len(assume)
-        depth = len(self._scopes)
+        self._rebuild_heap()
         if self._max_learnts == 0:
             self._max_learnts = max(256, 2 * self._num_clauses)
         conflicts_here = 0
@@ -693,18 +487,18 @@ class SatSolver:
                 self.conflicts += 1
                 conflicts_here += 1
                 if self._decision_level() == 0:
-                    self._unsat_scope = len(self._scopes)
+                    self._ok = False
                     return UNSAT
                 learnt, bt = self._analyze(conflict)
                 self._backtrack(bt)
                 self.learned += 1
                 if len(learnt) == 1:
                     if not self._enqueue(learnt[0], None):
-                        self._unsat_scope = len(self._scopes)
+                        self._ok = False
                         self._backtrack(0)
                         return UNSAT
                 else:
-                    clause = _Clause(learnt, learnt=True, scope=depth)
+                    clause = _Clause(learnt, learnt=True)
                     self._attach(clause)
                     self._learnts.append(clause)
                     self._enqueue(learnt[0], clause)
@@ -728,37 +522,12 @@ class SatSolver:
                     self._reduce_db()
                     self._max_learnts += self._max_learnts // 2
                 continue
-            # Re-establish pending assumptions as pseudo-decisions, one
-            # level per assumption (dummy levels keep indices aligned).
-            next_lit = 0
-            while self._decision_level() < n_assume:
-                p = assume[self._decision_level()]
-                val = self._value(p)
-                if val == 1:
-                    self._trail_lim.append(len(self._trail))
-                    continue
-                if val == -1:
-                    self.failed_assumptions = self._analyze_final(p)
-                    self._backtrack(0)
-                    return UNSAT
-                next_lit = p
-                break
-            if next_lit == 0:
-                var = self._pick_branch_var()
-                if var == 0:
-                    if model_vars is None:
-                        self.model = {
-                            v: self._assign[v - 1] == 1
-                            for v in range(1, self._num_vars + 1)
-                        }
-                    else:
-                        self.model = {
-                            v: self._assign[v - 1] == 1
-                            for v in model_vars
-                            if 0 < v <= self._num_vars
-                        }
-                    self._backtrack(0)
-                    return SAT
-                next_lit = var if self._phase[var - 1] else -var
+            var = self._pick_branch_var()
+            if var == 0:
+                self.model = {
+                    v: value == 1 for v, value in enumerate(self._assign, 1)
+                }
+                self._backtrack(0)
+                return SAT
             self._trail_lim.append(len(self._trail))
-            self._enqueue(next_lit, None)
+            self._enqueue(var if self._phase[var - 1] else -var, None)

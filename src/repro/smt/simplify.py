@@ -10,7 +10,7 @@ definitely unsatisfiable; ``False`` means "don't know".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .terms import And, BoolTerm, FALSE, Le, Lt, Eq, Not, TRUE, conjuncts
 from .theory import (
@@ -24,7 +24,7 @@ from .theory import (
 __all__ = ["GuardPrefix", "quick_unsat", "simplify_conjunction"]
 
 
-def _literal_bounds(lit: BoolTerm) -> Optional[List[DifferenceBound]]:
+def _literal_bounds(lit: BoolTerm) -> Optional[Sequence[DifferenceBound]]:
     """Difference bounds entailed by one literal, or None if non-arithmetic."""
     negated = isinstance(lit, Not)
     atom = lit.arg if negated else lit
@@ -40,7 +40,7 @@ def _literal_bounds(lit: BoolTerm) -> Optional[List[DifferenceBound]]:
         return bounds
     if isinstance(atom, Eq):
         return None  # not(a == b) is a disjunction: out of scope for the quick check
-    return [negate_bound(bounds[0])]
+    return (negate_bound(bounds[0]),)
 
 
 def quick_unsat(term: BoolTerm) -> bool:

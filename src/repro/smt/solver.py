@@ -20,10 +20,8 @@ Canary's order constraints.
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cnf import CnfEncoder
 from .sat import SAT, UNKNOWN, UNSAT, SatSolver
@@ -42,13 +40,13 @@ from .terms import (
     Or,
     TRUE,
     and_,
-    int_var,
+    le,
+    or_,
 )
 from .theory import DifferenceLogicSolver, ZERO_NAME, negate_bound, normalize_atom
 
 __all__ = [
     "Solver",
-    "IncrementalSolver",
     "Model",
     "Result",
     "SAT",
@@ -56,8 +54,6 @@ __all__ = [
     "UNKNOWN",
     "is_satisfiable",
     "solve_formula",
-    "reset_warm_solvers",
-    "warm_solver_counters",
 ]
 
 Result = str
@@ -75,20 +71,19 @@ def _eliminate_eq(term: BoolTerm) -> BoolTerm:
     cached = _eq_cache.get(term)
     if cached is not None:
         return cached
+    out = term
     if isinstance(term, Eq):
-        from .terms import le
-
         out = and_(le(term.lhs, term.rhs), le(term.rhs, term.lhs))
     elif isinstance(term, Not):
-        out = ~_eliminate_eq(term.arg)
-    elif isinstance(term, And):
-        out = and_(*(_eliminate_eq(a) for a in term.args))
-    elif isinstance(term, Or):
-        from .terms import or_
-
-        out = or_(*(_eliminate_eq(a) for a in term.args))
-    else:
-        out = term
+        arg = _eliminate_eq(term.arg)
+        if arg is not term.arg:
+            out = ~arg
+    elif isinstance(term, (And, Or)):
+        args = [_eliminate_eq(a) for a in term.args]
+        # Rebuild only when an Eq was rewritten below: the term was built
+        # by and_/or_, so rebuilding it unchanged would give it back.
+        if any(new is not old for new, old in zip(args, term.args)):
+            out = (and_ if isinstance(term, And) else or_)(*args)
     _eq_cache[term] = out
     return out
 
@@ -238,10 +233,20 @@ class Solver:
         encoder = CnfEncoder()
         encoder.add_assertion(formula)
         sat = SatSolver()
+        sat.ensure_var(encoder.num_vars)
         for clause in encoder.clauses:
             if not sat.add_clause(clause):
                 return UNSAT
-        theory_vars = encoder.theory_atoms()
+        # (SAT var, its bounds) per theory atom, in variable order; atoms
+        # outside the fragment stay free booleans.
+        theory_vars: List[Tuple[int, Tuple]] = []
+        for var, atom in encoder.theory_atoms().items():
+            try:
+                bounds = normalize_atom(atom)
+            except ValueError:
+                continue
+            if bounds is not None:
+                theory_vars.append((var, bounds))
         for _ in range(self._max_theory_rounds):
             if deadline is not None and time.monotonic() >= deadline:
                 self.unknown_reason = "deadline"
@@ -256,22 +261,15 @@ class Solver:
                 return UNKNOWN
             model = sat.model
             theory = DifferenceLogicSolver()
-            for var, atom in theory_vars.items():
+            for var, bounds in theory_vars:
                 value = model.get(var)
                 if value is None:
                     continue
-                try:
-                    bounds = normalize_atom(atom)
-                except ValueError:
-                    continue  # outside the fragment: treated as free boolean
-                if bounds is None:
-                    continue
-                lit = var if value else -var
                 if value:
                     for b in bounds:
-                        theory.assert_bound(b, lit)
+                        theory.assert_bound(b, var)
                 else:
-                    theory.assert_bound(negate_bound(bounds[0]), lit)
+                    theory.assert_bound(negate_bound(bounds[0]), -var)
             core = theory.check()
             if core is None:
                 self._model = self._build_model(encoder, model, theory)
@@ -294,255 +292,6 @@ class Solver:
         return self._model
 
 
-class IncrementalSolver:
-    """Warm, assumption-based DPLL(T) solver for a *family* of queries.
-
-    Sibling value-flow paths enumerated from one sink share long guard
-    prefixes and identical partial-order skeletons, so their formulas
-    overlap heavily.  This solver amortizes that overlap with the classic
-    ship-once / assume-many scheme:
-
-    * every distinct top-level conjunct is Tseitin-encoded **once** into a
-      shared CNF; a fresh *activation literal* ``a`` is linked to the
-      conjunct's gate ``g`` by the permanent clause ``(-a, g)``;
-    * a query is decided by solving under ``assumptions = [a_1 .. a_k]``
-      for its conjuncts — no clauses are ever retracted, so every learnt
-      clause carries over to the next sibling;
-    * theory blocking clauses (negative-cycle cores from the
-      difference-logic solver) are globally valid facts about the order
-      atoms, so they too are retained permanently.
-
-    Theory reasoning and model extraction are restricted to the atoms of
-    the *current* query's conjuncts: atoms shipped by earlier queries are
-    left free and never pollute a sibling's theory rounds or witness.
-
-    Instances are not thread-safe; wrap calls in :attr:`lock` when shared
-    (the warm-solver registry below does).
-    """
-
-    def __init__(self, max_theory_rounds: int = 10_000) -> None:
-        self._encoder = CnfEncoder()
-        self._sat = SatSolver()
-        self._shipped = 0  # encoder clauses already added to the SAT core
-        self._activation: Dict[BoolTerm, int] = {}
-        self._atoms: Dict[BoolTerm, Tuple[int, ...]] = {}
-        #: per conjunct: its full decision cluster (atom + gate +
-        #: activation vars) — the only variables a query restricted to
-        #: this conjunct needs to branch on
-        self._cluster: Dict[BoolTerm, Tuple[int, ...]] = {}
-        #: per atom var: normalized difference bounds (None = outside the
-        #: fragment) — atoms recur across every sibling's theory rounds,
-        #: so normalization is done once per family, not once per round
-        self._bounds: Dict[int, Optional[Tuple]] = {}
-        self._max_theory_rounds = max_theory_rounds
-        self.lock = threading.Lock()
-        #: set when the shared clause set became globally UNSAT — cannot
-        #: happen for well-formed queries (gates and lemmas are all
-        #: individually satisfiable), so callers treat it as "rebuild me"
-        self.poisoned = False
-        self.statistics: Dict[str, int] = {
-            "queries": 0,
-            "conjuncts_new": 0,
-            "conjuncts_reused": 0,
-            "theory_rounds": 0,
-            "theory_lemmas": 0,
-            "quick_refuted": 0,
-            "sat_conflicts": 0,
-            "sat_propagations": 0,
-            "sat_restarts": 0,
-            "sat_learned": 0,
-        }
-
-    def _collect_atom_vars(self, term: BoolTerm) -> Tuple[int, ...]:
-        out: Set[int] = set()
-        stack = [term]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, (BoolVar, Le, Lt, Eq)):
-                out.add(self._encoder.var_for_atom(t))
-            elif isinstance(t, Not):
-                stack.append(t.arg)
-            elif isinstance(t, (And, Or)):
-                stack.extend(t.args)
-        return tuple(sorted(out))
-
-    def _activate(self, conjunct: BoolTerm) -> int:
-        """Activation literal for a conjunct, encoding it on first sight."""
-        act = self._activation.get(conjunct)
-        if act is not None:
-            self.statistics["conjuncts_reused"] += 1
-            return act
-        self.statistics["conjuncts_new"] += 1
-        encoder = self._encoder
-        sat = self._sat
-        lit = encoder.encode_literal(conjunct)
-        act = encoder.fresh_var()
-        clauses = encoder.clauses
-        for i in range(self._shipped, len(clauses)):
-            if not sat.add_clause(clauses[i]):
-                self.poisoned = True
-        self._shipped = len(clauses)
-        sat.ensure_var(act)
-        if not sat.add_clause([-act, lit]):
-            self.poisoned = True
-        self._activation[conjunct] = act
-        self._atoms[conjunct] = self._collect_atom_vars(conjunct)
-        self._cluster[conjunct] = tuple(encoder.cluster_vars(conjunct)) + (act,)
-        return act
-
-    def check_formula(
-        self,
-        formula: BoolTerm,
-        max_conflicts: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> Tuple[Result, Optional[Model], str]:
-        """Decide one formula against the warm state.
-
-        Returns ``(verdict, model_or_None, unknown_reason)``; the model is
-        restricted to the atoms of this formula's conjuncts.
-        """
-        stats = self.statistics
-        stats["queries"] += 1
-        deadline = time.monotonic() + timeout if timeout is not None else None
-        if formula is TRUE:
-            return SAT, Model({}, {}), ""
-        if formula is FALSE or quick_unsat(formula):
-            stats["quick_refuted"] += 1
-            return UNSAT, None, ""
-        formula = _eliminate_eq(formula)
-        if formula is FALSE:
-            return UNSAT, None, ""
-        if formula is TRUE:
-            return SAT, Model({}, {}), ""
-        sat = self._sat
-        c0, p0 = sat.conflicts, sat.propagations
-        r0, l0 = sat.restarts, sat.learned
-        try:
-            conjuncts: Iterable[BoolTerm] = (
-                formula.args if isinstance(formula, And) else (formula,)
-            )
-            assumptions: List[int] = []
-            relevant: Set[int] = set()
-            decisions: Set[int] = set()
-            for conjunct in conjuncts:
-                assumptions.append(self._activate(conjunct))
-                relevant.update(self._atoms[conjunct])
-                decisions.update(self._cluster[conjunct])
-            if self.poisoned:
-                return UNSAT, None, ""
-            atom_of_var = self._encoder.atom_of_var
-            bounds_of = self._bounds
-            theory_vars = []
-            for v in sorted(relevant):
-                atom = atom_of_var[v]
-                if not isinstance(atom, (Le, Lt, Eq)):
-                    continue
-                if v not in bounds_of:
-                    try:
-                        normalized = normalize_atom(atom)
-                    except ValueError:
-                        normalized = None  # outside the fragment
-                    bounds_of[v] = (
-                        tuple(normalized) if normalized is not None else None
-                    )
-                if bounds_of[v] is not None:
-                    theory_vars.append((v, bounds_of[v]))
-            for _ in range(self._max_theory_rounds):
-                if deadline is not None and time.monotonic() >= deadline:
-                    return UNKNOWN, None, "deadline"
-                stats["theory_rounds"] += 1
-                result = sat.solve(
-                    max_conflicts=max_conflicts,
-                    deadline=deadline,
-                    assumptions=assumptions,
-                    model_vars=relevant,
-                    decision_vars=decisions,
-                )
-                if result is UNSAT:
-                    self.poisoned = self.poisoned or not sat.ok
-                    return UNSAT, None, ""
-                if result is UNKNOWN:
-                    return UNKNOWN, None, sat.unknown_reason or "conflicts"
-                model = sat.model
-                theory = DifferenceLogicSolver()
-                for var, bounds in theory_vars:
-                    value = model.get(var)
-                    if value is None:
-                        continue
-                    lit = var if value else -var
-                    if value:
-                        for b in bounds:
-                            theory.assert_bound(b, lit)
-                    else:
-                        theory.assert_bound(negate_bound(bounds[0]), lit)
-                core = theory.check()
-                if core is None:
-                    bools = {
-                        atom_of_var[v]: model[v] for v in relevant if v in model
-                    }
-                    ints = theory.model()
-                    ints.pop(ZERO_NAME, None)
-                    return SAT, Model(bools, ints), ""
-                stats["theory_lemmas"] += 1
-                # Negative-cycle cores are valid regardless of which
-                # conjuncts are active: retain them permanently.
-                if not sat.add_clause(sorted({-lit for lit in core})):
-                    self.poisoned = self.poisoned or not sat.ok
-                    return UNSAT, None, ""
-            return UNKNOWN, None, "theory-rounds"
-        finally:
-            stats["sat_conflicts"] += sat.conflicts - c0
-            stats["sat_propagations"] += sat.propagations - p0
-            stats["sat_restarts"] += sat.restarts - r0
-            stats["sat_learned"] += sat.learned - l0
-
-
-# --- per-process warm-solver registry -----------------------------------
-#
-# One IncrementalSolver per path family (for Canary: per sink), kept alive
-# for the process lifetime so sibling queries arriving at the same pool
-# worker (or the in-process serial/thread backends) hit warm state.  The
-# registry is LRU-bounded; cumulative counters survive eviction.
-
-_WARM_LIMIT = 32
-_warm_solvers: "OrderedDict[str, IncrementalSolver]" = OrderedDict()
-_warm_lock = threading.Lock()
-_warm_totals: Dict[str, int] = {}
-
-
-def _warm_solver(family: str) -> IncrementalSolver:
-    with _warm_lock:
-        solver = _warm_solvers.get(family)
-        if solver is None or solver.poisoned:
-            solver = IncrementalSolver()
-            _warm_solvers[family] = solver
-        _warm_solvers.move_to_end(family)
-        while len(_warm_solvers) > _WARM_LIMIT:
-            _warm_solvers.popitem(last=False)
-        return solver
-
-
-def _account_warm(delta: Dict[str, int]) -> None:
-    with _warm_lock:
-        for key, value in delta.items():
-            _warm_totals[key] = _warm_totals.get(key, 0) + value
-
-
-def reset_warm_solvers() -> None:
-    """Drop all warm per-family solvers and counters (tests/benchmarks)."""
-    with _warm_lock:
-        _warm_solvers.clear()
-        _warm_totals.clear()
-
-
-def warm_solver_counters() -> Dict[str, int]:
-    """Cumulative counters across all warm solves in this process."""
-    with _warm_lock:
-        out = dict(_warm_totals)
-        out["warm_families"] = len(_warm_solvers)
-        return out
-
-
 def is_satisfiable(*terms: BoolTerm) -> bool:
     """Convenience one-shot satisfiability query."""
     solver = Solver()
@@ -556,7 +305,6 @@ def solve_formula(
     use_cube: bool = False,
     timeout: Optional[float] = None,
     recorder=None,
-    family: Optional[str] = None,
 ) -> Tuple[Result, Dict[str, int], Dict[str, bool], float, str]:
     """Decide one formula and return only plain picklable data.
 
@@ -575,11 +323,9 @@ def solve_formula(
     the verdict and the solver's own counters (theory rounds, SAT
     conflicts).  Works identically in-process and in pool workers.
 
-    ``family`` routes the query to the process-local warm
-    :class:`IncrementalSolver` for that path family (ship-once /
-    assume-many), so sibling queries reuse each other's CNF encoding,
-    learnt clauses, and theory lemmas.  ``None`` (or ``use_cube``)
-    solves one-shot as before.
+    Every query gets a fresh :class:`Solver` (or cube-and-conquer split),
+    so the answer is a pure function of the arguments: nothing a query
+    leaves behind can change a later query's verdict or model.
     """
     from ..testing.faults import fault_point
 
@@ -598,23 +344,6 @@ def solve_formula(
         verdict, model, reason = cube_solve_model(
             formula, max_conflicts=max_conflicts, timeout=timeout, recorder=recorder
         )
-    elif family is not None:
-        solver = _warm_solver(family)
-        with solver.lock:
-            before = dict(solver.statistics)
-            verdict, model, reason = solver.check_formula(
-                formula, max_conflicts=max_conflicts, timeout=timeout
-            )
-            delta = {
-                key: value - before.get(key, 0)
-                for key, value in solver.statistics.items()
-            }
-        _account_warm(delta)
-        if span is not None:
-            span.set("family", family)
-            for key, value in delta.items():
-                if value:
-                    span.set(key, value)
     else:
         solver = Solver(max_conflicts=max_conflicts, timeout=timeout)
         solver.add(formula)

@@ -76,7 +76,13 @@ def _linearize(t: IntTerm) -> Tuple[Dict[str, int], int]:
     return {v: k for v, k in coeffs.items() if k != 0}, const
 
 
-def normalize_atom(atom: BoolTerm) -> Optional[List[DifferenceBound]]:
+#: per interned atom: its bounds, None (not a comparison) or _OUTSIDE
+_bounds_cache: Dict[BoolTerm, object] = {}
+_OUTSIDE = object()
+_MISSING = object()
+
+
+def normalize_atom(atom: BoolTerm) -> Optional[Tuple[DifferenceBound, ...]]:
     """Normalize a comparison atom to difference bounds (conjunction).
 
     Returns ``None`` when the atom is not a difference-logic comparison
@@ -84,18 +90,34 @@ def normalize_atom(atom: BoolTerm) -> Optional[List[DifferenceBound]]:
     and ``Lt`` produce one.  Raises :class:`ValueError` for comparisons
     that fall outside the difference fragment (more than two variables or
     non-unit coefficients), which Canary never generates.
+
+    Terms are interned, so the answer is memoized per atom: the same
+    order atoms recur in every theory round of every sibling query.
     """
+    cached = _bounds_cache.get(atom, _MISSING)
+    if cached is _MISSING:
+        try:
+            cached = _normalize(atom)
+        except ValueError:
+            cached = _OUTSIDE
+        _bounds_cache[atom] = cached
+    if cached is _OUTSIDE:
+        raise ValueError(f"comparison outside difference logic: {atom!r}")
+    return cached  # type: ignore[return-value]
+
+
+def _normalize(atom: BoolTerm) -> Optional[Tuple[DifferenceBound, ...]]:
     if isinstance(atom, Not):
         raise ValueError("normalize_atom expects a positive atom")
     if isinstance(atom, Le):
-        return [_bound_from(atom.lhs, atom.rhs, slack=0)]
+        return (_bound_from(atom.lhs, atom.rhs, slack=0),)
     if isinstance(atom, Lt):
-        return [_bound_from(atom.lhs, atom.rhs, slack=-1)]
+        return (_bound_from(atom.lhs, atom.rhs, slack=-1),)
     if isinstance(atom, Eq):
-        return [
+        return (
             _bound_from(atom.lhs, atom.rhs, slack=0),
             _bound_from(atom.rhs, atom.lhs, slack=0),
-        ]
+        )
     return None
 
 

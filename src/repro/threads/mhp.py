@@ -35,6 +35,10 @@ class MhpAnalysis:
         self._fork_site: Dict[str, Tuple[str, int]] = {}
         # tid -> list of (function name, join label) joining it
         self._join_sites: Dict[str, List[Tuple[str, int]]] = {}
+        #: (label a, label b) -> happens_before(a, b).  Every input of the
+        #: answer (function_of, threads_of, fork/join sites) is keyed by
+        #: label, so the pair determines it on this object.
+        self._hb_memo: Dict[Tuple[int, int], bool] = {}
         self._index()
 
     def _index(self) -> None:
@@ -60,6 +64,13 @@ class MhpAnalysis:
     def happens_before(self, a: Instruction, b: Instruction) -> bool:
         """True when ``a`` structurally happens before ``b`` under *every*
         thread assignment (sound for use as a pruning relation)."""
+        key = (a.label, b.label)
+        known = self._hb_memo.get(key)
+        if known is None:
+            known = self._hb_memo[key] = self._happens_before(a, b)
+        return known
+
+    def _happens_before(self, a: Instruction, b: Instruction) -> bool:
         threads_a = self.graph.threads_of(a)
         threads_b = self.graph.threads_of(b)
         if not threads_a or not threads_b:

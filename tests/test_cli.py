@@ -90,6 +90,10 @@ class TestAnalyzerCli:
         with pytest.raises(SystemExit):
             repro_main([str(CORPUS / "uaf_basic.mcc"), "--backend", "nonsense"])
 
+    def test_removed_incremental_smt_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            repro_main([str(CORPUS / "uaf_basic.mcc"), "--no-incremental-smt"])
+
     def test_all_threads_flag(self, tmp_path, capsys):
         seq = tmp_path / "seq.mcc"
         seq.write_text(

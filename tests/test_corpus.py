@@ -11,11 +11,15 @@ comments:
   (booleans and strings supported).
 
 This is the analyzer's lit-test-style suite: every entry is a distinct
-concurrency pattern with a pinned verdict.
+concurrency pattern with a pinned verdict.  Beyond the counts, every
+file's exact bug keys — ``(kind, source label, sink label)`` — are pinned
+in ``corpus_keys.json``; after an intended change to the reports,
+regenerate it with ``PYTHONPATH=src python tests/test_corpus.py``.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 from typing import Dict, List, Tuple
@@ -26,6 +30,7 @@ from repro import AnalysisConfig, Canary
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.mcc"))
+RECORDED_KEYS = pathlib.Path(__file__).parent / "corpus_keys.json"
 
 _EXPECT_RE = re.compile(r"^//\s*EXPECT\s+(\S+)\s+(\d+)(?:\s+(\d+))?\s*$")
 _CHECKERS_RE = re.compile(r"^//\s*CHECKERS\s+(\S+)\s*$")
@@ -64,11 +69,9 @@ def _parse_directives(text: str):
     "path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES]
 )
 def test_corpus_program(path: pathlib.Path):
-    text = path.read_text()
-    expects, checkers, overrides = _parse_directives(text)
+    expects = _parse_directives(path.read_text())[0]
     assert expects, f"{path.name}: no EXPECT directive"
-    config = AnalysisConfig(checkers=checkers, **overrides)
-    report = Canary(config).analyze_source(text, filename=path.name)
+    report = _analyze(path)
     counts: Dict[str, int] = {}
     for bug in report.bugs:
         counts[bug.kind] = counts.get(bug.kind, 0) + 1
@@ -78,7 +81,29 @@ def test_corpus_program(path: pathlib.Path):
             f"{path.name}: expected {lo}..{hi} {kind} report(s), got {got}\n"
             + "\n".join(b.describe() for b in report.bugs)
         )
+    recorded = json.loads(RECORDED_KEYS.read_text())
+    assert _bug_keys(report) == recorded.get(path.name), (
+        f"{path.name}: bug keys differ from {RECORDED_KEYS.name}"
+    )
+
+
+def _analyze(path: pathlib.Path):
+    text = path.read_text()
+    _expects, checkers, overrides = _parse_directives(text)
+    config = AnalysisConfig(checkers=checkers, **overrides)
+    return Canary(config).analyze_source(text, filename=path.name)
+
+
+def _bug_keys(report) -> List[List]:
+    return sorted([b.kind, b.source.label, b.sink.label] for b in report.bugs)
 
 
 def test_corpus_not_empty():
     assert len(CORPUS_FILES) >= 20
+
+
+if __name__ == "__main__":
+    keys = {path.name: _bug_keys(_analyze(path)) for path in CORPUS_FILES}
+    rows = ",\n".join(f" {json.dumps(name)}: {json.dumps(k)}" for name, k in keys.items())
+    RECORDED_KEYS.write_text("{\n" + rows + "\n}\n")
+    print(f"recorded {sum(map(len, keys.values()))} keys over {len(keys)} files")

@@ -117,6 +117,44 @@ class TestLoadStoreOrder:
         phi = builder.load_store_order(edges[0])
         assert not is_satisfiable(phi)  # the child's store always intervenes
 
+    _INTERVENE = """
+    void main() {
+        int** slot = malloc();
+        int* a = malloc();
+        int* b = malloc();
+        *slot = a;
+        *slot = b;
+        fork(t, w, slot);
+        int* v = *slot;
+        print(*v);
+        *slot = a;
+    }
+    void w(int** s) {
+        int* fresh = malloc();
+        *s = fresh;
+    }
+    """
+
+    def _intervene_setup(self):
+        bundle = bundle_for(self._INTERVENE)
+        builder = OrderConstraintBuilder(bundle)
+        stores = [
+            i for i in bundle.module.functions["main"].body if isinstance(i, StoreInst)
+        ]
+        load = find(bundle.module, "main", LoadInst, 0)
+        return bundle, builder, stores, load
+
+    def test_may_intervene_excludes_statically_ordered_stores(self):
+        _bundle, builder, stores, load = self._intervene_setup()
+        earlier, store, later = stores
+        assert not builder._may_intervene(earlier, store, load)  # hb the store
+        assert not builder._may_intervene(later, store, load)  # after the load
+
+    def test_may_intervene_includes_parallel_store(self):
+        bundle, builder, stores, load = self._intervene_setup()
+        child_store = find(bundle.module, "w", StoreInst)
+        assert builder._may_intervene(child_store, stores[-2], load)
+
 
 class TestPathSearch:
     def test_origin_visited_with_empty_path(self):

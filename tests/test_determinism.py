@@ -6,7 +6,9 @@ namespace — identity keys computed in one process must mean the same
 thing in another, regardless of hash seed, import order, or interning
 state.  The subprocess tests run the full pipeline twice under
 *different* ``PYTHONHASHSEED`` values and compare JSON dumps byte for
-byte.
+byte.  The in-process tests analyse one input twice in the same
+interpreter: nothing a run leaves behind (solver state included) may
+change the next run's keys or witnesses.
 """
 
 import json
@@ -18,8 +20,12 @@ from pathlib import Path
 
 import pytest
 
+from repro import AnalysisConfig, Canary
+from repro.analysis.fingerprint import report_to_portable
 from repro.ir.values import VariableNamer
+from repro.server import AnalysisService
 
+from fuzz_gen import detection_scaled_program
 from test_corpus import CORPUS_FILES
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -128,4 +134,46 @@ class TestCrossProcess:
                 check=True,
             )
             dumps.append(proc.stdout)
+        assert dumps[0] == dumps[1]
+
+
+def _witness_dump(portable):
+    """Keys plus witnesses of a portable report, in key order, as JSON."""
+    return json.dumps(
+        sorted(
+            [b["kind"], b["source"], b["sink"], b["witness_order"], b["witness_env"]]
+            for b in portable["bugs"]
+        ),
+        sort_keys=True,
+    )
+
+
+class TestRunHistory:
+    """Witnesses must not depend on what the process analysed before."""
+
+    SOURCE = detection_scaled_program(n_threads=5, n_slots=3, pad_functions=0)
+
+    def test_same_input_twice_in_one_process(self):
+        dumps = [
+            _witness_dump(
+                report_to_portable(
+                    Canary(AnalysisConfig(use_cache=False)).analyze_source(self.SOURCE)
+                )
+            )
+            for _ in range(2)
+        ]
+        assert json.loads(dumps[0]), "subject produced no reports"
+        assert dumps[0] == dumps[1]
+
+    def test_same_input_twice_through_one_service(self):
+        service = AnalysisService(AnalysisConfig(use_cache=False), workers=1)
+        try:
+            dumps = []
+            for _ in range(2):
+                record = service.analyze(self.SOURCE, timeout=120)
+                assert record.status == "done", record.status
+                dumps.append(_witness_dump(record.result))
+        finally:
+            service.shutdown()
+        assert json.loads(dumps[0]), "subject produced no reports"
         assert dumps[0] == dumps[1]

@@ -122,6 +122,12 @@ class TestConfigCacheKey:
             assert key not in seen, f"{f.name} collided with another knob"
             seen.add(key)
 
+    def test_incremental_smt_knob_is_gone(self):
+        names = {f.name for f in dataclasses.fields(AnalysisConfig)}
+        assert "incremental_smt" not in names
+        with pytest.raises(TypeError):
+            AnalysisConfig(incremental_smt=False)
+
     def test_cache_plumbing_fields_do_not_change_the_key(self):
         base = AnalysisConfig()
         assert (

@@ -124,6 +124,10 @@ class TestRequestIsolation:
         with pytest.raises(ConfigError):
             service.request_config({"no_such_knob": 1})
 
+    def test_removed_incremental_smt_knob_rejected(self, service):
+        with pytest.raises(ConfigError):
+            service.request_config({"incremental_smt": False})
+
     def test_server_owned_knob_rejected(self, service):
         with pytest.raises(ConfigError):
             service.request_config({"cache_dir": "/tmp/elsewhere"})

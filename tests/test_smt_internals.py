@@ -10,6 +10,7 @@ from repro.smt.theory import (
     DifferenceBound,
     DifferenceLogicSolver,
     ZERO_NAME,
+    _normalize,
     negate_bound,
     normalize_atom,
 )
@@ -142,6 +143,26 @@ class TestDifferenceLogicUnit:
 
     def test_normalize_boolean_atom_is_none(self):
         assert normalize_atom(bool_var("a")) is None
+
+    def test_normalize_memoized_per_interned_atom(self):
+        x, y = int_var("x"), int_var("y")
+        first = normalize_atom(le(x - y, 7))
+        # terms are interned, so rebuilding the atom hits the memo
+        assert normalize_atom(le(x - y, 7)) is first
+        assert isinstance(first, tuple)
+
+    def test_memoized_bounds_match_fresh_normalization(self):
+        x, y, z = int_var("x"), int_var("y"), int_var("z")
+        atoms = [le(x, y), lt(y, z), eq(x, z), le(x - z, -2), lt(z, 3), bool_var("b")]
+        for atom in atoms:
+            normalize_atom(atom)  # warm the memo
+            assert normalize_atom(atom) == _normalize(atom)
+
+    def test_memoized_rejection_raises_every_time(self):
+        x = int_var("x")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                normalize_atom(le(x + x, 9))
 
     def test_negate_bound(self):
         b = DifferenceBound("x", "y", 3)

@@ -180,31 +180,12 @@ class TestCnfRoundTrip:
         a, b = bool_var("a"), bool_var("b")
         disj = or_(a, b)
         encoder = CnfEncoder()
-        lit1 = encoder.encode_literal(disj)
+        encoder.add_assertion(disj)
         before = len(encoder.clauses)
-        lit2 = encoder.encode_literal(disj)
-        assert lit1 == lit2
-        assert len(encoder.clauses) == before  # no re-encoding
-
-    def test_encode_literal_does_not_assert(self):
-        a = bool_var("a")
-        encoder = CnfEncoder()
-        lit = encoder.encode_literal(not_(a))
-        solver = SatSolver()
-        for clause in encoder.clauses:
-            solver.add_clause(list(clause))
-        solver.ensure_var(abs(lit))
-        # both polarities must still be possible: nothing was asserted
-        assert solver.solve(assumptions=[lit]) is SAT
-        assert solver.solve(assumptions=[-lit]) is SAT
-
-    def test_fresh_var_is_unused(self):
-        encoder = CnfEncoder()
-        a = bool_var("a")
-        v_atom = encoder.var_for_atom(a)
-        act = encoder.fresh_var()
-        assert act != v_atom
-        assert act not in encoder.atom_of_var
+        encoder.add_assertion(disj)
+        # only the top-level unit is asserted again: the gate is reused
+        assert len(encoder.clauses) == before + 1
+        assert encoder.clauses[-1] == encoder.clauses[before - 1]
 
     def test_eq_atom_maps_to_theory(self):
         x, y = int_var("x"), int_var("y")

@@ -1,5 +1,9 @@
 """Tests for the DPLL(T) solver: SAT core, theory integration, models."""
 
+import itertools
+import random
+import time
+
 import pytest
 
 from repro.smt import (
@@ -22,6 +26,7 @@ from repro.smt import (
     not_,
     or_,
 )
+from repro.smt.sat import SAT as SAT_RES, UNKNOWN, UNSAT as UNSAT_RES, SatSolver
 
 
 def check(*terms):
@@ -193,3 +198,185 @@ class TestEmptyAndTrivial:
 
         assert check(TRUE) is SAT
         assert check(FALSE) is UNSAT
+
+
+def pigeonhole(holes):
+    """PHP(holes+1, holes) clauses — UNSAT, needs real search."""
+    pigeons = holes + 1
+    var = lambda p, h: p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return clauses
+
+
+def brute_force_sat(num_vars, clauses):
+    for bits in itertools.product([False, True], repeat=num_vars):
+        if all(any(bits[abs(lit) - 1] == (lit > 0) for lit in c) for c in clauses):
+            return True
+    return False
+
+
+def assert_at_root(solver):
+    """The invariant every solve() exit must restore: the DPLL(T) loop
+    adds theory lemmas between solves, which needs decision level 0."""
+    assert solver._trail_lim == []
+    assert solver._prop_head <= len(solver._trail)
+    for lit in solver._trail:
+        assert solver._level[abs(lit) - 1] == 0
+
+
+class TestUnknownRecovery:
+    def test_resolve_after_conflict_budget_unknown(self):
+        solver = SatSolver()
+        for clause in pigeonhole(4):
+            assert solver.add_clause(clause)
+        result = solver.solve(max_conflicts=3)
+        assert result is UNKNOWN
+        assert solver.unknown_reason == "conflicts"
+        assert_at_root(solver)
+        # the same instance must still decide correctly
+        assert solver.solve() is UNSAT_RES
+
+    def test_resolve_after_deadline_unknown(self):
+        solver = SatSolver()
+        for clause in pigeonhole(4):
+            assert solver.add_clause(clause)
+        result = solver.solve(deadline=time.monotonic() + 1e-9)
+        assert result is UNKNOWN
+        assert solver.unknown_reason == "deadline"
+        assert_at_root(solver)
+        assert solver.solve() is UNSAT_RES
+
+    def test_model_integrity_after_unknown(self):
+        # Pigeonhole with an escape hatch for pigeon 0: SAT, but only
+        # after search.  Budget-UNKNOWN twice, then the re-solve must
+        # produce a model of every clause.
+        clauses = pigeonhole(4)
+        escape = 21
+        clauses[0] = clauses[0] + [escape]
+        solver = SatSolver()
+        for clause in clauses:
+            assert solver.add_clause(clause)
+        assert solver.solve(max_conflicts=2) is UNKNOWN
+        assert_at_root(solver)
+        assert solver.solve(deadline=time.monotonic() + 1e-9) is UNKNOWN
+        assert_at_root(solver)
+        assert solver.solve() is SAT_RES
+        assert solver.model[escape] is True
+        for clause in clauses:
+            assert any(solver.model[abs(lit)] == (lit > 0) for lit in clause)
+
+
+class TestDatabaseReduction:
+    def test_reduction_keeps_verdict_exact(self):
+        rng = random.Random(99)
+        for trial in range(20):
+            n = rng.randint(8, 12)
+            clauses = [
+                [rng.choice([1, -1]) * rng.randint(1, n) for _ in range(3)]
+                for _ in range(4 * n)
+            ]
+            expect = brute_force_sat(n, clauses)
+            solver = SatSolver()
+            if not all(solver.add_clause(list(c)) for c in clauses):
+                assert not expect
+                continue
+            solver._max_learnts = 4  # force reductions early
+            result = solver.solve()
+            assert (result is SAT_RES) == expect, f"trial {trial}"
+        # at least one hard instance must actually have reduced
+        solver = SatSolver()
+        for clause in pigeonhole(5):
+            solver.add_clause(clause)
+        solver._max_learnts = 4
+        assert solver.solve() is UNSAT_RES
+        assert solver.db_reductions >= 1
+
+
+class TestOneShotPath:
+    """The one path a query takes: Eq elimination, one normalization per
+    theory atom, a fresh solver per query."""
+
+    def test_eliminate_eq_keeps_eq_free_terms(self):
+        from repro.smt.solver import _eliminate_eq
+
+        x, y, a = int_var("x"), int_var("y"), bool_var("a")
+        term = or_(and_(lt(x, y), a), not_(le(y, x)))
+        assert _eliminate_eq(term) is term
+
+    def test_eliminate_eq_rewrites_nested_eq(self):
+        from repro.smt.solver import _eliminate_eq
+
+        x, y, a = int_var("x"), int_var("y"), bool_var("a")
+        term = or_(a, not_(eq(x, y)))
+        out = _eliminate_eq(term)
+        assert out is not term
+
+        def has_eq(t):
+            from repro.smt.terms import And, Eq, Not, Or
+
+            if isinstance(t, Eq):
+                return True
+            if isinstance(t, Not):
+                return has_eq(t.arg)
+            if isinstance(t, (And, Or)):
+                return any(has_eq(a) for a in t.args)
+            return False
+
+        assert has_eq(term) and not has_eq(out)
+        for extra in (not_(a), and_(not_(a), eq(x, y)), and_(not_(a), lt(x, y))):
+            assert check(term, extra) == check(out, extra)
+
+    def test_check_normalizes_each_theory_atom_once(self, monkeypatch):
+        import repro.smt.solver as solver_mod
+
+        calls = []
+        real = solver_mod.normalize_atom
+
+        def counting(atom):
+            calls.append(atom)
+            return real(atom)
+
+        monkeypatch.setattr(solver_mod, "normalize_atom", counting)
+        xs = [int_var(f"o{i}") for i in range(4)]
+        # every pair ordered one way or the other, but no total order
+        # fits: the SAT core needs several theory rounds to learn that
+        pairs = [or_(lt(a, b), lt(b, a)) for a, b in itertools.combinations(xs, 2)]
+        cycle = [lt(xs[0], xs[1]), lt(xs[1], xs[2]), lt(xs[2], xs[3])]
+        s = Solver()
+        s.add(*pairs, *cycle, or_(lt(xs[3], xs[0]), lt(xs[2], xs[0])))
+        assert s.check() == UNSAT
+        assert s.statistics["theory_rounds"] >= 2
+        assert len(calls) == len(set(calls))
+
+    def test_solve_formula_is_history_free(self):
+        from repro.smt import solve_formula
+
+        xs = [int_var(f"h{i}") for i in range(5)]
+        target = and_(
+            *(or_(lt(a, b), lt(b, a)) for a, b in itertools.combinations(xs, 2)),
+            lt(xs[4], xs[0]),
+        )
+        first = solve_formula(target)
+        rng = random.Random(5)
+        for _ in range(20):
+            a, b, c = rng.sample(xs, 3)
+            solve_formula(or_(and_(lt(a, b), lt(b, c)), le(c, a)))
+        again = solve_formula(target)
+        # (verdict, ints, bools, seconds, reason): all but the time match
+        assert first[0] == SAT
+        assert (first[:3], first[4]) == (again[:3], again[4])
+
+    def test_solve_payload_four_and_five_tuples(self):
+        from repro.detection.realizability import _solve_payload
+
+        x, y = int_var("x"), int_var("y")
+        formula = and_(lt(x, y), le(y, 10))
+        plain = _solve_payload((formula, None, False, None))
+        assert len(plain) == 5 and plain[0] == SAT
+        traced = _solve_payload((formula, None, False, None, None))
+        assert len(traced) == 6
+        assert traced[:3] == plain[:3]

@@ -1,5 +1,7 @@
 """Tests for Steensgaard points-to, thread call graph, happens-before/MHP."""
 
+import pytest
+
 from repro.frontend import parse_program
 from repro.ir import ForkInst, FreeInst, JoinInst, LoadInst, SinkInst, StoreInst
 from repro.lowering import lower_program
@@ -177,6 +179,25 @@ class TestHappensBefore:
         child_store = find(module, "worker", StoreInst)
         load_main = find(module, "main", LoadInst, nth=0)  # c = *x, before join
         assert not mhp.happens_before(child_store, load_main)
+
+    @pytest.mark.parametrize(
+        "src", [SIMPLE_UAF, JOIN_PROTECTED, FORK_IN_LOOP, FIG2_BUG_FREE]
+    )
+    def test_memo_agrees_with_direct_computation(self, src):
+        module, _tcg, mhp = setup(src)
+        insts = [i for f in module.functions.values() for i in f.body]
+        for _round in range(2):  # the second round answers from the memo
+            for a in insts:
+                for b in insts:
+                    assert mhp.happens_before(a, b) == mhp._happens_before(a, b)
+
+    def test_memo_keyed_by_label_pair(self):
+        module, _tcg, mhp = setup(SIMPLE_UAF)
+        a, b = module.functions["main"].body[:2]
+        assert mhp.happens_before(a, b)
+        assert mhp._hb_memo == {(a.label, b.label): True}
+        assert not mhp.happens_before(b, a)
+        assert mhp._hb_memo[(b.label, a.label)] is False
 
 
 class TestMhp:
