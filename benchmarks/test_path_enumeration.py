@@ -1,15 +1,12 @@
 """Benchmarks for the sink-directed path enumeration engine.
 
-Three stress shapes, each targeting one prune:
+Two stress shapes, each targeting one prune:
 
 * **dead fan-out** — wide copy trees whose leaves are never dereferenced:
   only sink-reachability keeps the DFS out of them;
 * **guard diamonds** — branch ladders whose arms contradict the source's
   guard arithmetically: the incremental guard prefix cuts the subtree at
-  the first contradictory edge instead of solving every completed path;
-* **shared slot** — the parallel-engine workload (n writers × k readers),
-  here used to pin that the streaming pipeline is wall-clock no slower
-  than the enumerate-all-then-batch barrier it replaces.
+  the first contradictory edge instead of solving every completed path.
 
 Every comparison also asserts the exactness guarantee (identical bug
 keys with and without pruning).  Results are written to
@@ -75,26 +72,6 @@ def _guard_diamond_program(n_arms: int) -> str:
         "void w(int** s) { int* b = malloc();"
         " if (n >= 3) { *s = b; free(b); } }"
     )
-    return "\n".join(lines)
-
-
-def _shared_slot_program(n_workers: int, n_readers: int) -> str:
-    lines = [
-        "void main() {",
-        "    int** slot = malloc();",
-        "    int* init = malloc();",
-        "    *slot = init;",
-    ]
-    for i in range(n_workers):
-        lines.append(f"    fork(t{i}, worker{i}, slot);")
-    for j in range(n_readers):
-        lines.append(f"    int* v{j} = *slot;")
-        lines.append(f"    print(*v{j});")
-    lines.append("}")
-    for i in range(n_workers):
-        lines.append(
-            f"void worker{i}(int** s) {{ int* b{i} = malloc(); *s = b{i}; free(b{i}); }}"
-        )
     return "\n".join(lines)
 
 
@@ -169,26 +146,6 @@ def test_guard_diamond_prefix_prune():
         pruned_queries=opt.solver_statistics["queries"],
         reference_wall_s=round(ref_wall, 4),
         pruned_wall_s=round(opt_wall, 4),
-    )
-
-
-def test_streaming_no_slower_than_batch():
-    text = _shared_slot_program(n_workers=10, n_readers=2)
-    batch, batch_wall, _, _ = _run(
-        text, parallel_solving=True, streaming_solving=False, solver_workers=4
-    )
-    stream, stream_wall, _, _ = _run(
-        text, parallel_solving=True, streaming_solving=True, solver_workers=4
-    )
-    assert _keys(batch) == _keys(stream)
-    # Soft: streaming removes the enumerate-all barrier, so it should not
-    # be pathologically slower (pool startup noise allowed).
-    assert stream_wall <= max(batch_wall * 3.0, batch_wall + 0.5)
-    _record(
-        "streaming_vs_batch",
-        batch_wall_s=round(batch_wall, 4),
-        streaming_wall_s=round(stream_wall, 4),
-        keys=len(_keys(stream)),
     )
 
 

@@ -61,17 +61,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--show-vfg", action="store_true", help="dump the guarded value-flow graph"
     )
-    parser.add_argument("--parallel", action="store_true", help="parallel path solving")
-    parser.add_argument(
-        "--workers", type=int, default=4, help="worker count for --parallel solving"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="process",
-        help="batch-solving backend for --parallel (process = real parallelism,"
-        " thread = GIL-bound fallback)",
-    )
     parser.add_argument(
         "--cube",
         action="store_true",
@@ -105,22 +94,14 @@ def main(argv=None) -> int:
         " (reference enumeration, for debugging and ablation)",
     )
     parser.add_argument(
-        "--summary-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shards for per-function summary computation (1 = serial;"
-        " >1 uses the --backend pool with automatic fallback)",
-    )
-    parser.add_argument(
         "--detect-workers",
         type=int,
         default=1,
         metavar="N",
-        help="shards for the detection phase: sink families are"
-        " partitioned across --backend pool workers, each running the"
-        " full enumerate+solve pipeline over its shard (1 = no sharding;"
-        " reported bugs are identical at every worker count)",
+        help="processes for detection: the sources are partitioned across"
+        " a process pool, each worker running the per-source loop over its"
+        " part (1 = in-process; the reports are identical, in order, at"
+        " every count)",
     )
     parser.add_argument(
         "--summary-cache",
@@ -221,12 +202,8 @@ def main(argv=None) -> int:
         memory_model=args.memory_model,
         unroll_depth=args.unroll,
         context_depth=args.context_depth,
-        parallel_solving=args.parallel,
-        solver_workers=args.workers,
-        solver_backend=args.backend,
         cube_and_conquer=args.cube,
         summaries=not args.no_summaries,
-        summary_workers=args.summary_workers,
         detect_workers=args.detect_workers,
         max_path_depth=args.max_depth
         if args.max_depth is not None

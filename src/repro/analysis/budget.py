@@ -15,13 +15,14 @@ object carrying
   overrun is surfaced as a degradation warning, so pathological phases
   are visible even when the run completes;
 * a **per-query solver deadline** (``solver_timeout_seconds``): every
-  SMT query — in-process, on the thread pool, or shipped to a worker
-  process — carries a relative timeout; the CDCL loop checks it and
-  returns ``UNKNOWN`` with the reason recorded.
+  SMT query — in-process or in a detection worker — carries a relative
+  timeout; the CDCL loop checks it and returns ``UNKNOWN`` with the
+  reason recorded.
 
 Budgets are cooperative: nothing is killed, every observation point
 polls :meth:`expired` and degrades.  The object never crosses a process
-boundary — only the relative per-query timeout does.
+boundary — detection workers build their own from the wall time that
+remains.
 """
 
 from __future__ import annotations

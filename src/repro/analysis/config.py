@@ -49,20 +49,6 @@ class AnalysisConfig:
     incremental_guard_pruning: bool = True
     #: memoize (node, context, guard-fingerprint) states proven dead
     dead_state_memo: bool = True
-    #: stream enumerated paths to the solver pool instead of batching
-    #: (only meaningful with parallel_solving)
-    streaming_solving: bool = True
-    #: producer threads enumerating sources concurrently in streaming mode
-    enumeration_workers: int = 2
-    #: solve independent path queries in parallel (paper §5.2)
-    parallel_solving: bool = False
-    solver_workers: int = 4
-    #: batch-solving backend: 'process' ships pickled formulas to a
-    #: ProcessPoolExecutor (true parallelism for the pure-Python solver);
-    #: 'thread' keeps the in-process pool (GIL-bound fallback).  The
-    #: process backend degrades to threads automatically if process
-    #: creation is unavailable.
-    solver_backend: str = "process"
     #: memoize Φ_all → verdict across all checkers of one run
     verdict_cache: bool = True
     #: use cube-and-conquer splitting for path queries (paper §5.2)
@@ -71,14 +57,11 @@ class AnalysisConfig:
     #: Alg. 2: interference runs its fixpoint over indexed, demand-loaded
     #: function spans instead of whole-VFG scans (exact w.r.t. bug keys)
     summaries: bool = True
-    #: shards for summary fingerprinting (1 = in-process serial; >1 uses
-    #: the ``solver_backend`` pool with process→thread→serial fallback)
-    summary_workers: int = 1
-    #: shards for the detection phase: sink families are partitioned
-    #: across ``solver_backend`` pool workers, each running the full
-    #: enumerate+solve pipeline over its shard; the parent merges in
-    #: ordinal order, so reported bug keys equal the serial run's (1 =
-    #: no sharding; falls back process→streaming/serial on pool failure)
+    #: processes for detection (paper §5.2: path queries are
+    #: independent): >1 runs the per-source loop in a process pool over a
+    #: partition of the sources and merges in source order, so the report
+    #: list equals the serial one (1 = in-process; a failed pool falls
+    #: back to in-process)
     detect_workers: int = 1
     #: ablation: apply the semi-decision guard filter during construction
     prune_guards: bool = True

@@ -517,7 +517,7 @@ class AnalysisPipeline:
         if self._out_of_time("dataflow"):
             return finish()
 
-        # -- per-function value-flow summaries (sharded, content-keyed) -----
+        # -- per-function value-flow summaries (content-keyed) -------------
         if cfg.summaries:
 
             def run_summaries() -> SummaryIndex:
@@ -526,10 +526,7 @@ class AnalysisPipeline:
                     store=self.store if (caching and lineage is not None) else None,
                     lineage_key=f"{lineage}:{cfg.cache_key()}",
                     config_key=cfg.cache_key(),
-                    workers=cfg.summary_workers,
-                    backend=cfg.solver_backend,
                     metrics=self.registry,
-                    tracer=self.tracer,
                 )
 
             summary_index, error = pm.attempt("summaries", run_summaries)
@@ -599,7 +596,6 @@ class AnalysisPipeline:
             order_constraints=cfg.order_constraints,
             lock_analysis=lock_analysis,
             memory_model=cfg.memory_model,
-            backend=cfg.solver_backend,
             cache=self._verdict_cache(caching),
             solver_timeout=cfg.solver_timeout_seconds,
             budget=budget,
@@ -625,15 +621,10 @@ class AnalysisPipeline:
                 inter_thread_only=cfg.inter_thread_only,
                 max_reports_per_source=cfg.max_reports_per_source,
                 collect_suppressed=cfg.collect_suppressed,
-                parallel_solving=cfg.parallel_solving,
-                solver_workers=cfg.solver_workers,
-                solver_backend=cfg.solver_backend,
                 sink_reachability=cfg.sink_reachability,
                 guard_pruning=cfg.incremental_guard_pruning,
                 dead_memo=cfg.dead_state_memo,
                 index_cache=index_cache,
-                streaming=cfg.streaming_solving,
-                enumeration_workers=cfg.enumeration_workers,
                 detect_workers=cfg.detect_workers,
                 budget=budget,
                 tracer=self.tracer,

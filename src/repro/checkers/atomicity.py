@@ -22,12 +22,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ir.instructions import Instruction, LoadInst, StoreInst
-from ..ir.values import Value, Variable
+from ..ir.values import Value, Variable, sorted_objects
 from ..smt.terms import TRUE, BoolTerm, lt
 from ..vfg.graph import DefNode, ObjNode, VFGNode
 from ..detection.partial_order import order_var
 from .base import SourceSinkChecker
-from .concurrency import sorted_objects
 
 __all__ = ["AtomicityViolationChecker"]
 

@@ -9,18 +9,25 @@ reports carry the witness path and the constraints — the paper's
 The enumeration layer is demand-driven (sink-directed): each checker
 declares its *sink node set* (the VFG definitions whose uses can be a
 sink for the property), a backward :class:`SinkReachabilityIndex` over
-that set prunes the forward DFS, an incremental guard prefix cuts
-quick-unsat subtrees mid-search, and — in parallel mode — a streaming
-pipeline feeds discovered paths to the solver pool while enumeration is
-still running (no enumerate-all barrier).
+that set prunes the forward DFS, and an incremental guard prefix cuts
+quick-unsat subtrees mid-search.
+
+Detection has one pipeline: the per-source loop of
+:meth:`SourceSinkChecker.run`, which searches one source, solves its
+candidates in discovery order and reports the first realizable path of
+each key.  Path queries are independent (§5.2), and so are sources, as
+long as the sources of one statement stay together (they share the
+per-key dedup).  With ``detect_workers > 1`` the same loop runs in a
+process pool, each worker over a part of the sources, and the parent
+merges the per-source outcomes in source order — so the report list is
+the serial one, in order, at every width.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..ir.instructions import (
@@ -35,17 +42,15 @@ from ..smt.terms import BoolTerm
 from ..vfg.builder import VFGBundle
 from ..vfg.graph import DefNode, VFGNode
 from ..detection.reachability import ReachabilityIndexCache, SinkReachabilityIndex
-from ..detection.realizability import PathQuery, RealizabilityChecker
+from ..detection.realizability import PathQuery, RealizabilityChecker, VerdictCache
 from ..detection.search import (
     PathSearcher,
     SearchLimits,
     SearchStatistics,
     TruncationEvent,
     ValueFlowPath,
-    _detect_shard,
-    _init_detect_worker,
-    partition_sink_labels,
 )
+from ..testing.faults import fault_point
 
 __all__ = ["BugReport", "SourceSinkChecker", "UseIndex"]
 
@@ -130,9 +135,37 @@ class UseIndex:
         }
 
 
-#: one enumerated candidate crossing the producer→coordinator queue:
-#: (source index, per-source sequence, key, path edges, source, sink)
-_Candidate = Tuple[int, int, Tuple[str, int, int], tuple, Instruction, Instruction]
+#: one source to search from: (origin node, source statement, alias guard)
+Source = Tuple[VFGNode, Instruction, BoolTerm]
+
+
+@dataclass
+class SourceOutcome:
+    """Everything checking one source produced.  The checker merges these
+    in source order, whether the source ran in this process or in a
+    detection worker."""
+
+    reports: List[BugReport] = field(default_factory=list)
+    suppressed: List[SuppressedCandidate] = field(default_factory=list)
+    search: SearchStatistics = field(default_factory=SearchStatistics)
+    truncations: List[TruncationEvent] = field(default_factory=list)
+    undecided: int = 0
+
+
+def partition_sources(
+    source_list: Sequence[Source], parts: int
+) -> List[Tuple[Tuple[int, int], ...]]:
+    """Split sources into at most ``parts`` parts of ``(index, label)``
+    pairs.  Sources of one statement (one label) share the per-key dedup,
+    so they go to the same part; label groups are dealt round-robin in
+    order of first appearance.  Empty parts are dropped."""
+    groups: Dict[int, List[Tuple[int, int]]] = {}
+    for idx, (_origin, inst, _guard) in enumerate(source_list):
+        groups.setdefault(inst.label, []).append((idx, inst.label))
+    buckets: List[List[Tuple[int, int]]] = [[] for _ in range(max(1, parts))]
+    for g, members in enumerate(groups.values()):
+        buckets[g % len(buckets)].extend(members)
+    return [tuple(b) for b in buckets if b]
 
 
 class SourceSinkChecker:
@@ -148,27 +181,18 @@ class SourceSinkChecker:
         inter_thread_only: bool = True,
         max_reports_per_source: int = 8,
         collect_suppressed: bool = False,
-        parallel_solving: bool = False,
-        solver_workers: int = 4,
-        solver_backend: str = "thread",
         sink_reachability: bool = True,
         guard_pruning: bool = True,
         dead_memo: bool = True,
         index_cache: Optional[ReachabilityIndexCache] = None,
-        streaming: bool = True,
-        enumeration_workers: int = 2,
         detect_workers: int = 1,
         budget=None,
         tracer=None,
     ) -> None:
         from ..obs.tracer import NULL_TRACER
 
-        #: optional repro.obs Tracer: per-source ``enumerate`` spans
-        #: (explicitly parented — producers run on helper threads)
+        #: optional repro.obs Tracer: one ``enumerate`` span per source
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.parallel_solving = parallel_solving
-        self.solver_workers = solver_workers
-        self.solver_backend = solver_backend
         self.bundle = bundle
         self.limits = limits
         self.realizability = realizability or RealizabilityChecker(bundle)
@@ -182,19 +206,10 @@ class SourceSinkChecker:
         self.guard_pruning = guard_pruning and not collect_suppressed
         self.dead_memo = dead_memo
         self.index_cache = index_cache
-        self.streaming = streaming
-        self.enumeration_workers = max(1, enumeration_workers)
+        #: processes for the per-source loop (1 = in this process)
         self.detect_workers = max(1, detect_workers)
-        #: when set, ``_enumerate_candidates`` emits only candidates whose
-        #: sink label is in this set — the per-shard restriction of the
-        #: detection-sharding workers.  Enumeration itself is unrestricted
-        #: (same DFS region, same per-source limits as serial), so the
-        #: union of shard candidate sets equals the serial candidate set
-        #: even when truncation budgets fire.
-        self._sink_filter: Optional[Set[int]] = None
-        #: optional repro.analysis.budget.Budget — serial mode checks it
-        #: between sources and winds down on expiry (parallel modes rely
-        #: on per-query solver deadlines plus pass-boundary checks)
+        #: optional repro.analysis.budget.Budget — checked between sources
+        #: (detection workers get one with the wall time that remains)
         self.budget = budget
         self.suppressed: List[SuppressedCandidate] = []
         self.uses = UseIndex(bundle)
@@ -295,505 +310,112 @@ class SourceSinkChecker:
             sink_nodes=sinks,
         )
 
-    def _note_search(self, origin: VFGNode, searcher: PathSearcher) -> None:
-        """Merge one source's enumeration counters and truncations."""
-        self.search_stats.merge(searcher.stats)
-        for limit, count in sorted(searcher.truncations.items()):
-            self.truncation_events.append(
-                TruncationEvent(origin=repr(origin), limit=limit, count=count)
-            )
-
-    def _merged_statistics(self) -> None:
-        # Enumeration counters live in self.search_stats (the driver
-        # surfaces them separately); candidates is shared vocabulary.
-        self.statistics["candidates"] = self.search_stats.candidates
-
     # ----- driver -----------------------------------------------------------
 
     def run(self) -> List[BugReport]:
-        if (
-            self.detect_workers > 1
-            and self.solver_backend == "process"
-            and not self.collect_suppressed
-        ):
-            # Per-sink sharding across the process pool.  Suppressed-
-            # candidate diagnostics need live parent-side refutation
-            # queries, so that mode stays on the in-process paths.  A
-            # ``None`` return means the pool could not run — fall through
-            # to the streaming/batch/serial ladder below.
-            reports = self._run_sharded()
-            if reports is not None:
-                self._merged_statistics()
-                self.statistics["reports"] += len(reports)
-                return reports
-        sinks = self.sink_node_set()
-        index = self._reach_index(sinks)
         source_list = list(self.sources())
         self.statistics["sources"] = len(source_list)
-        if self.parallel_solving:
-            if self.streaming:
-                reports = self._run_streaming(source_list, index, sinks)
-            else:
-                reports = self._run_batch(source_list, index, sinks)
-        else:
-            reports = self._run_serial(source_list, index, sinks)
-        self._merged_statistics()
+        outcomes = None
+        if self.detect_workers > 1:
+            outcomes = self._run_pool(source_list)
+        if outcomes is None:
+            outcomes = self._run_serial(source_list)
+        reports: List[BugReport] = []
+        for outcome in outcomes:
+            reports.extend(outcome.reports)
+            self.suppressed.extend(outcome.suppressed)
+            self.search_stats.merge(outcome.search)
+            self.truncation_events.extend(outcome.truncations)
+            self.statistics["undecided"] += outcome.undecided
+        # Enumeration counters live in self.search_stats (the driver
+        # surfaces them separately); candidates is shared vocabulary.
+        self.statistics["candidates"] = self.search_stats.candidates
         self.statistics["reports"] += len(reports)
         return reports
 
-    def _run_serial(
-        self,
-        source_list: Sequence[Tuple[VFGNode, Instruction, BoolTerm]],
-        index: Optional[SinkReachabilityIndex],
-        sinks: Optional[Set[VFGNode]],
-    ) -> List[BugReport]:
-        reports: List[BugReport] = []
-        reported_keys: Set[Tuple] = set()
-        for origin, source_inst, alias_guard in source_list:
+    def _run_serial(self, source_list: Sequence[Source]) -> List[SourceOutcome]:
+        """The per-source loop: one outcome per source, in order."""
+        sinks = self.sink_node_set()
+        index = self._reach_index(sinks)
+        claimed: Set[Tuple] = set()
+        outcomes: List[SourceOutcome] = []
+        for source in source_list:
             if self.budget is not None and self.budget.note_expired(
                 f"checker:{self.kind}"
             ):
                 break  # wall budget expired: report what we have so far
-            found_here = 0
+            outcomes.append(self._check_source(source, index, sinks, claimed))
+        return outcomes
 
-            def on_node(node: VFGNode, path: ValueFlowPath) -> int:
-                nonlocal found_here
-                if not isinstance(node, DefNode):
-                    return 0
-                emitted = 0
-                for sink_inst in self.sinks_at(node.var, source_inst):
-                    key = (self.kind, source_inst.label, sink_inst.label)
-                    if key in reported_keys:
-                        continue
-                    if not self.admit(source_inst, sink_inst, path):
-                        continue
-                    emitted += 1
-                    if found_here >= self.max_reports_per_source:
-                        # Report budget exhausted: the candidate still
-                        # counts against max_paths_per_source (as it
-                        # does in batch/streaming mode) but is not
-                        # solved — matching the pre-streaming policy of
-                        # at most max_reports_per_source keys per source.
-                        continue
-                    query = PathQuery(
-                        path=ValueFlowPath(origin=path.origin, edges=list(path.edges)),
-                        source_inst=source_inst,
-                        sink_inst=sink_inst,
-                        extra_constraints=self.extra_constraints(
-                            source_inst, sink_inst
-                        ),
-                        alias_guard=alias_guard,
-                        extra_statements=self.extra_statements(
-                            source_inst, sink_inst
-                        ),
-                    )
-                    result = self.realizability.check(query)
-                    if not result.realizable:
-                        if result.verdict == "unknown":
-                            # Budget outcome, not a refutation: recording
-                            # it as suppressed would mislabel it as
-                            # solver-proved infeasible.
-                            self.statistics["undecided"] += 1
-                        elif self.collect_suppressed:
-                            key_s = (self.kind, source_inst.label, sink_inst.label, "s")
-                            if key_s not in reported_keys:
-                                reported_keys.add(key_s)
-                                self.suppressed.append(
-                                    SuppressedCandidate(
-                                        kind=self.kind,
-                                        source=source_inst,
-                                        sink=sink_inst,
-                                        reason=self.realizability.explain_refutation(
-                                            query
-                                        ),
-                                    )
-                                )
-                        continue
-                    reported_keys.add(key)
-                    found_here += 1
-                    reports.append(self._make_report(query, result))
-                return emitted
-
-            searcher = self._make_searcher(index, sinks)
-            with self.tracer.span("enumerate", checker=self.kind, source=source_inst.label):
-                searcher.search(origin, on_node, alias_guard=alias_guard)
-            self._note_search(origin, searcher)
-        return reports
-
-    def _enumerate_candidates(
+    def _check_source(
         self,
-        source_list: Sequence[Tuple[VFGNode, Instruction, BoolTerm]],
+        source: Source,
         index: Optional[SinkReachabilityIndex],
         sinks: Optional[Set[VFGNode]],
-        emit,
-        span_parent=None,
-    ) -> None:
-        """Enumerate every source (possibly on a thread pool), calling
-        ``emit(candidate)`` for each admitted (source, sink, path).
+        claimed: Set[Tuple],
+    ) -> SourceOutcome:
+        """Search one source and solve its candidates in discovery order.
 
-        Unlike serial mode, a key is *not* claimed when a candidate is
-        emitted — every enumerated path of a (source, sink) pair becomes
-        a query, exactly the set serial mode would have checked, so the
-        modes agree even when a pair's first path is unrealizable but a
-        later one is realizable.  Candidates are tagged with a
-        (source-index, sequence) ordinal; replaying the serial reporting
-        policy over the ordinal-sorted verdicts reproduces serial mode's
-        bug keys.
+        ``claimed`` holds the keys already reported (and, with
+        ``collect_suppressed``, already explained) by earlier sources of
+        the same statement: the first realizable path of a key wins."""
+        origin, source_inst, alias_guard = source
+        outcome = SourceOutcome()
 
-        Producers never build SMT terms (interning is not thread-safe):
-        ``extra_constraints`` is deferred to the coordinator.
-        """
-        # Producer threads have no ambient span stack: parent their
-        # enumerate spans explicitly under the checker (detect) span —
-        # streaming mode captures the context before forking producers.
-        enum_parent = (
-            span_parent if span_parent is not None else self.tracer.current_context()
-        )
-
-        def enumerate_one(idx: int) -> None:
-            origin, source_inst, alias_guard = source_list[idx]
-            seq = 0
-
-            def on_node(node: VFGNode, path: ValueFlowPath) -> int:
-                nonlocal seq
-                if not isinstance(node, DefNode):
-                    return 0
-                emitted = 0
-                sink_filter = self._sink_filter
-                for sink_inst in self.sinks_at(node.var, source_inst):
-                    key = (self.kind, source_inst.label, sink_inst.label)
-                    if not self.admit(source_inst, sink_inst, path):
-                        continue
-                    # The sequence counts every admitted candidate — even
-                    # ones a shard filter drops — so ``seq`` is the *serial*
-                    # ordinal of the candidate in any worker, and truncation
-                    # budgets fire at exactly the serial point.
-                    emitted += 1
-                    if sink_filter is None or sink_inst.label in sink_filter:
-                        emit(
-                            (idx, seq, key, tuple(path.edges), source_inst, sink_inst)
+        def on_node(node: VFGNode, path: ValueFlowPath) -> int:
+            if not isinstance(node, DefNode):
+                return 0
+            emitted = 0
+            for sink_inst in self.sinks_at(node.var, source_inst):
+                key = (self.kind, source_inst.label, sink_inst.label)
+                if key in claimed:
+                    continue
+                if not self.admit(source_inst, sink_inst, path):
+                    continue
+                emitted += 1
+                if len(outcome.reports) >= self.max_reports_per_source:
+                    # Report budget exhausted: the candidate still counts
+                    # against max_paths_per_source but is not solved.
+                    continue
+                query = PathQuery(
+                    path=ValueFlowPath(origin=path.origin, edges=list(path.edges)),
+                    source_inst=source_inst,
+                    sink_inst=sink_inst,
+                    extra_constraints=self.extra_constraints(source_inst, sink_inst),
+                    alias_guard=alias_guard,
+                    extra_statements=self.extra_statements(source_inst, sink_inst),
+                )
+                result = self.realizability.check(query)
+                if not result.realizable:
+                    if result.verdict == "unknown":
+                        # Budget outcome, not a refutation: recording it
+                        # as suppressed would mislabel it as
+                        # solver-proved infeasible.
+                        outcome.undecided += 1
+                    elif self.collect_suppressed and key + ("s",) not in claimed:
+                        claimed.add(key + ("s",))
+                        outcome.suppressed.append(
+                            SuppressedCandidate(
+                                kind=self.kind,
+                                source=source_inst,
+                                sink=sink_inst,
+                                reason=self.realizability.explain_refutation(query),
+                            )
                         )
-                    seq += 1
-                return emitted
-
-            searcher = self._make_searcher(index, sinks)
-            with self.tracer.span(
-                "enumerate",
-                parent=enum_parent,
-                checker=self.kind,
-                source=source_inst.label,
-            ):
-                searcher.search(origin, on_node, alias_guard=alias_guard)
-            with self._enum_lock:
-                self._note_search(origin, searcher)
-
-        self._enum_lock = threading.Lock()
-        if self.enumeration_workers <= 1 or len(source_list) <= 1:
-            for idx in range(len(source_list)):
-                enumerate_one(idx)
-            return
-        with ThreadPoolExecutor(max_workers=self.enumeration_workers) as pool:
-            futures = [
-                pool.submit(enumerate_one, idx) for idx in range(len(source_list))
-            ]
-            for future in futures:
-                future.result()  # propagate enumeration errors
-
-    def _replay_serial_policy(
-        self,
-        ordered: Sequence[Tuple[_Candidate, PathQuery]],
-        results: Sequence,
-    ) -> List[BugReport]:
-        """§5.2: path queries are mutually independent — decided on the
-        pool, then materialized in candidate order.  Walking in
-        enumeration order reproduces the serial policy exactly: the
-        first realizable path of a key wins and each source reports at
-        most ``max_reports_per_source`` keys."""
-        reports: List[BugReport] = []
-        reported_keys: Set[Tuple[str, int, int]] = set()
-        per_source: Dict[int, int] = {}
-        suppressed_keys: Set[Tuple[str, int, int]] = set()
-        for ((_idx, _seq, key, _edges, source_inst, sink_inst), query), result in zip(
-            ordered, results
-        ):
-            if key in reported_keys:
-                continue  # an earlier path already proved this pair
-            if result.realizable:
-                source_label = query.source_inst.label
-                if per_source.get(source_label, 0) >= self.max_reports_per_source:
                     continue
-                per_source[source_label] = per_source.get(source_label, 0) + 1
-                reported_keys.add(key)
-                reports.append(self._make_report(query, result))
-            elif result.verdict == "unknown":
-                # Budget outcome: never recorded as solver-refuted.
-                self.statistics["undecided"] += 1
-            elif self.collect_suppressed and key not in suppressed_keys:
-                suppressed_keys.add(key)
-                self.suppressed.append(
-                    SuppressedCandidate(
-                        kind=self.kind,
-                        source=query.source_inst,
-                        sink=query.sink_inst,
-                        reason=self.realizability.explain_refutation(query),
-                    )
-                )
-        return reports
+                claimed.add(key)
+                outcome.reports.append(self._make_report(query, result))
+            return emitted
 
-    def _build_query(self, candidate: _Candidate, source_list) -> PathQuery:
-        idx, _seq, _key, edges, source_inst, sink_inst = candidate
-        origin, _inst, alias_guard = source_list[idx]
-        return PathQuery(
-            path=ValueFlowPath(origin=origin, edges=list(edges)),
-            source_inst=source_inst,
-            sink_inst=sink_inst,
-            extra_constraints=self.extra_constraints(source_inst, sink_inst),
-            alias_guard=alias_guard,
-            extra_statements=self.extra_statements(source_inst, sink_inst),
-        )
-
-    def _run_streaming(
-        self,
-        source_list: Sequence[Tuple[VFGNode, Instruction, BoolTerm]],
-        index: Optional[SinkReachabilityIndex],
-        sinks: Optional[Set[VFGNode]],
-    ) -> List[BugReport]:
-        """The enumerate→solve pipeline: producer threads run per-source
-        DFS, pushing candidates into a bounded queue; the coordinator
-        (this thread) assembles Φ_all and streams it to the solver pool
-        while enumeration continues.  Verdicts are replayed over the
-        (source, sequence)-sorted candidates, preserving the serial
-        equivalence guarantee."""
-        if not source_list:
-            return []
-        fifo: "queue.Queue" = queue.Queue(maxsize=max(64, 8 * self.solver_workers))
-        _DONE = object()
-
-        def emit(candidate: _Candidate) -> None:
-            fifo.put(candidate)
-
-        # Captured on the coordinator, where the detect span is ambient.
-        enum_ctx = self.tracer.current_context()
-
-        def produce() -> None:
-            try:
-                self._enumerate_candidates(
-                    source_list, index, sinks, emit, span_parent=enum_ctx
-                )
-            finally:
-                fifo.put(_DONE)
-
-        stream = self.realizability.open_stream(
-            max_workers=self.solver_workers, backend=self.solver_backend
-        )
-        entries: List[Tuple[_Candidate, PathQuery, int]] = []
-        producer = threading.Thread(target=produce, name=f"{self.kind}-enum")
-        producer.start()
-        try:
-            while True:
-                item = fifo.get()
-                if item is _DONE:
-                    break
-                query = self._build_query(item, source_list)
-                ordinal = stream.submit(query)
-                entries.append((item, query, ordinal))
-        finally:
-            producer.join()
-            results = stream.finish()
-        # Enumeration across sources interleaves nondeterministically;
-        # the (source-index, sequence) ordinal restores the order serial
-        # mode would have produced.
-        entries.sort(key=lambda e: (e[0][0], e[0][1]))
-        ordered = [(cand, query) for cand, query, _ord in entries]
-        verdicts = [results[ordinal] for _cand, _query, ordinal in entries]
-        return self._replay_serial_policy(ordered, verdicts)
-
-    def _run_batch(
-        self,
-        source_list: Sequence[Tuple[VFGNode, Instruction, BoolTerm]],
-        index: Optional[SinkReachabilityIndex],
-        sinks: Optional[Set[VFGNode]],
-    ) -> List[BugReport]:
-        """PR 1 batch mode (kept for comparison/ablation): enumerate all
-        paths first, then decide the whole batch on the pool."""
-        pending: List[_Candidate] = []
-        self._enumerate_candidates(source_list, index, sinks, pending.append)
-        pending.sort(key=lambda c: (c[0], c[1]))
-        if not pending:
-            return []
-        queries = [self._build_query(c, source_list) for c in pending]
-        results = self.realizability.check_many(
-            queries,
-            parallel=True,
-            max_workers=self.solver_workers,
-            backend=self.solver_backend,
-        )
-        return self._replay_serial_policy(list(zip(pending, queries)), results)
-
-    # ----- per-sink detection sharding ---------------------------------------
-
-    def _run_sharded(self) -> Optional[List[BugReport]]:
-        """Dispatch sink-label shards across a process pool and merge.
-
-        Returns ``None`` when sharding cannot run (nothing to shard over,
-        pool creation failed, a worker died, or the payload would not
-        pickle) — the caller then falls through to the in-process paths,
-        so a sharded run always completes.  The run budget stays parent-
-        side: workers see only the static per-query solver timeout.
-        """
-        import pickle
-        from concurrent.futures import ProcessPoolExecutor
-
-        universe: Set[int] = set()
-        for uses in (self.uses.pointer_uses, self.uses.data_uses):
-            for insts in uses.values():
-                universe.update(inst.label for inst in insts)
-        shards = partition_sink_labels(universe, self.detect_workers)
-        if len(shards) < 2:
-            return None  # 0/1 sink families: nothing to shard over
-        realizability = self.realizability
-        payload = {
-            "bundle": self.bundle,
-            "kind": self.kind,
-            "limits": self.limits,
-            "checker_kwargs": {
-                "inter_thread_only": self.inter_thread_only,
-                "max_reports_per_source": self.max_reports_per_source,
-                "sink_reachability": self.sink_reachability,
-                "guard_pruning": self.guard_pruning,
-                "dead_memo": self.dead_memo,
-            },
-            "solver": {
-                "use_cube_and_conquer": realizability.use_cube_and_conquer,
-                "solver_max_conflicts": realizability.solver_max_conflicts,
-                "order_constraints": realizability.order_constraints,
-                "memory_model": realizability.orders.memory_model,
-                "model_locks": realizability.orders.lock_analysis is not None,
-                "solver_timeout": realizability.solver_timeout,
-            },
-        }
-        try:
-            with ProcessPoolExecutor(
-                max_workers=len(shards),
-                initializer=_init_detect_worker,
-                initargs=(payload,),
-            ) as pool:
-                shard_results = list(pool.map(_detect_shard, shards))
-        except (
-            OSError,
-            RuntimeError,
-            ImportError,
-            EOFError,
-            pickle.PicklingError,
-        ) as exc:
-            realizability._note_pool_failure("detect-shard", exc)
-            return None
-        rows = [row for res in shard_results for row in res["rows"]]
-        # Every row carries its true serial (source-index, sequence)
-        # ordinal — see _enumerate_candidates — so this sort restores the
-        # exact order serial mode solves candidates in.
-        rows.sort(key=lambda r: (r["idx"], r["seq"]))
-        reports = self._replay_rows(rows)
-        # Every shard walks the identical DFS, so enumeration counters and
-        # truncations are byte-equal across shards: adopt the first
-        # shard's verbatim (summing would multiply-count the walk).
-        first = shard_results[0]
-        self.statistics["sources"] = first["sources"]
-        self.search_stats = SearchStatistics(**first["search_stats"])
-        self.truncation_events = [
-            TruncationEvent(origin=origin, limit=limit, count=count)
-            for origin, limit, count in first["truncations"]
+        searcher = self._make_searcher(index, sinks)
+        with self.tracer.span("enumerate", checker=self.kind, source=source_inst.label):
+            searcher.search(origin, on_node, alias_guard=alias_guard)
+        outcome.search = searcher.stats
+        outcome.truncations = [
+            TruncationEvent(origin=repr(origin), limit=limit, count=count)
+            for limit, count in sorted(searcher.truncations.items())
         ]
-        # Solver work really is partitioned: sum it into the run counters.
-        for res in shard_results:
-            for key, value in res["solver_stats"].items():
-                if value:
-                    realizability._count(key, value)
-        realizability.metrics.counter("detect.shards").add(len(shards))
-        return reports
-
-    def shard_rows(self, shard: Sequence[int]) -> dict:
-        """Worker half of detection sharding: run the serial enumeration
-        (identical DFS region, prunes, and truncation accounting), emit
-        only candidates whose sink label is in ``shard``, solve them in
-        enumeration order, and return plain picklable rows plus the
-        counters the parent adopts."""
-        self._sink_filter = frozenset(shard)
-        sinks = self.sink_node_set()
-        index = self._reach_index(sinks)
-        source_list = list(self.sources())
-        pending: List[_Candidate] = []
-        self._enumerate_candidates(source_list, index, sinks, pending.append)
-        pending.sort(key=lambda c: (c[0], c[1]))
-        rows: List[dict] = []
-        for cand in pending:
-            query = self._build_query(cand, source_list)
-            result = self.realizability.check(query)
-            src_threads = self.bundle.tcg.threads_of(query.source_inst)
-            sink_threads = self.bundle.tcg.threads_of(query.sink_inst)
-            rows.append(
-                {
-                    "idx": cand[0],
-                    "seq": cand[1],
-                    "source": query.source_inst.label,
-                    "sink": query.sink_inst.label,
-                    "realizable": result.realizable,
-                    "verdict": result.verdict,
-                    "witness_order": dict(result.witness_order),
-                    "witness_env": dict(result.witness_env),
-                    "path": query.path.describe(self.bundle),
-                    "inter_thread": query.path.has_interference()
-                    or any(a != b for a in src_threads for b in sink_threads),
-                    "statements": [
-                        s.label for s in query.path.statements(self.bundle)
-                    ],
-                }
-            )
-        return {
-            "rows": rows,
-            "sources": len(source_list),
-            "search_stats": self.search_stats.as_dict(),
-            "truncations": [
-                (e.origin, e.limit, e.count) for e in self.truncation_events
-            ],
-            "solver_stats": dict(self.realizability.statistics),
-        }
-
-    def _replay_rows(self, rows: Sequence[dict]) -> List[BugReport]:
-        """The serial reporting policy over ordinal-sorted shard rows —
-        the row-level twin of :meth:`_replay_serial_policy`, rehydrating
-        statements through the parent's own module by label."""
-        module = self.bundle.module
-        reports: List[BugReport] = []
-        reported_keys: Set[Tuple[str, int, int]] = set()
-        per_source: Dict[int, int] = {}
-        for row in rows:
-            key = (self.kind, row["source"], row["sink"])
-            if key in reported_keys:
-                continue
-            if row["realizable"]:
-                if per_source.get(row["source"], 0) >= self.max_reports_per_source:
-                    continue
-                per_source[row["source"]] = per_source.get(row["source"], 0) + 1
-                reported_keys.add(key)
-                reports.append(
-                    BugReport(
-                        kind=self.kind,
-                        source=module.instruction_at(row["source"]),
-                        sink=module.instruction_at(row["sink"]),
-                        path=row["path"],
-                        inter_thread=row["inter_thread"],
-                        witness_order=row["witness_order"],
-                        witness_env=row["witness_env"],
-                        statements=[
-                            module.instruction_at(label)
-                            for label in row["statements"]
-                        ],
-                    )
-                )
-            elif row["verdict"] == "unknown":
-                self.statistics["undecided"] += 1
-        return reports
+        return outcome
 
     def _make_report(self, query: PathQuery, result) -> BugReport:
         source_inst, sink_inst = query.source_inst, query.sink_inst
@@ -810,3 +432,156 @@ class SourceSinkChecker:
             witness_env=result.witness_env,
             statements=query.path.statements(self.bundle),
         )
+
+    # ----- the process pool ---------------------------------------------------
+
+    def _run_pool(self, source_list: Sequence[Source]) -> Optional[List[SourceOutcome]]:
+        """The per-source loop across a process pool, one part of the
+        sources per worker; outcomes come back in source order.
+
+        Returns ``None`` when the pool cannot help or cannot run (fewer
+        than two parts, pool creation failed, a worker died) — the
+        caller then runs the loop in this process, so the run always
+        completes with the same reports.  Workers solve with a fresh
+        verdict cache and a budget holding the wall time that remains.
+        """
+        parts = partition_sources(source_list, self.detect_workers)
+        if len(parts) < 2:
+            return None
+        realizability = self.realizability
+        payload = {
+            "wall_seconds": None if self.budget is None else self.budget.remaining(),
+            "bundle": self.bundle,
+            "kind": self.kind,
+            "limits": self.limits,
+            "checker": {
+                "inter_thread_only": self.inter_thread_only,
+                "max_reports_per_source": self.max_reports_per_source,
+                "collect_suppressed": self.collect_suppressed,
+                "sink_reachability": self.sink_reachability,
+                "guard_pruning": self.guard_pruning,
+                "dead_memo": self.dead_memo,
+            },
+            "solver": {
+                "use_cube_and_conquer": realizability.use_cube_and_conquer,
+                "solver_max_conflicts": realizability.solver_max_conflicts,
+                "order_constraints": realizability.order_constraints,
+                "memory_model": realizability.orders.memory_model,
+                "model_locks": realizability.orders.lock_analysis is not None,
+                "solver_timeout": realizability.solver_timeout,
+            },
+        }
+        try:
+            with ProcessPoolExecutor(
+                max_workers=len(parts),
+                initializer=_init_detect_worker,
+                initargs=(payload,),
+            ) as pool:
+                results = list(pool.map(_detect_part, parts))
+        except (OSError, RuntimeError, ImportError, EOFError, pickle.PicklingError) as exc:
+            realizability._note_pool_failure("detect", exc)
+            return None
+        if self.budget is not None:
+            # An expired budget stopped the workers between sources.
+            self.budget.note_expired(f"checker:{self.kind}")
+        module = self.bundle.module
+        indexed: List[Tuple[int, SourceOutcome]] = []
+        for part_outcomes, solver_counts in results:
+            indexed.extend(part_outcomes)
+            for key, value in solver_counts.items():
+                if value:
+                    realizability._count(key, value)
+        realizability.metrics.counter("detect.shards").add(len(parts))
+        indexed.sort(key=lambda pair: pair[0])
+        outcomes = [outcome for _idx, outcome in indexed]
+        for outcome in outcomes:
+            outcome.reports = [
+                _relabel(r, module.instruction_at) for r in outcome.reports
+            ]
+            outcome.suppressed = [
+                _relabel(c, module.instruction_at) for c in outcome.suppressed
+            ]
+        return outcomes
+
+
+def _relabel(item, convert):
+    """A report or suppressed candidate with its statements passed through
+    ``convert`` — to labels in a worker, back to this module's
+    instructions in the parent."""
+    changes = {"source": convert(item.source), "sink": convert(item.sink)}
+    if isinstance(item, BugReport):
+        changes["statements"] = [convert(s) for s in item.statements]
+    return replace(item, **changes)
+
+
+#: worker-process state: the payload from :func:`_init_detect_worker`
+#: (shipped once per worker, not once per part) and the checker built
+#: from it on the first part
+_WORKER: Dict[str, object] = {}
+
+
+def _init_detect_worker(payload: dict) -> None:
+    _WORKER.clear()
+    _WORKER["payload"] = payload
+
+
+def _detect_part(part: Tuple[Tuple[int, int], ...]):
+    """Pool target: the serial per-source loop over one part of the
+    sources.  Returns ``([(index, outcome)], solver counter deltas)`` with
+    every statement replaced by its label."""
+    fault_point("worker:detect")
+    if "checker" not in _WORKER:
+        _WORKER["checker"] = _worker_checker(_WORKER["payload"])
+    checker, source_list = _WORKER["checker"]
+    for idx, label in part:
+        if idx >= len(source_list) or source_list[idx][1].label != label:
+            raise RuntimeError("detection worker enumerated different sources")
+    before = dict(checker.realizability.statistics)
+    outcomes = checker._run_serial([source_list[idx] for idx, _label in part])
+    solver_counts = {
+        key: value - before.get(key, 0)
+        for key, value in checker.realizability.statistics.items()
+    }
+    portable = []
+    for (idx, _label), outcome in zip(part, outcomes):
+        outcome.reports = [_relabel(r, lambda inst: inst.label) for r in outcome.reports]
+        outcome.suppressed = [
+            _relabel(c, lambda inst: inst.label) for c in outcome.suppressed
+        ]
+        portable.append((idx, outcome))
+    return portable, solver_counts
+
+
+def _worker_checker(payload: dict):
+    """Rebuild the parent's checker (with a worker-local solver stack and
+    budget) and its source list."""
+    from . import ALL_CHECKERS  # the package imports this module
+    from ..analysis.budget import Budget
+
+    bundle = payload["bundle"]
+    solver = payload["solver"]
+    budget = Budget(payload["wall_seconds"], solver_seconds=solver["solver_timeout"])
+    lock_analysis = None
+    if solver["model_locks"]:
+        from ..threads.locks import LockAnalysis
+
+        lock_analysis = LockAnalysis(bundle.module)
+    realizability = RealizabilityChecker(
+        bundle,
+        use_cube_and_conquer=solver["use_cube_and_conquer"],
+        solver_max_conflicts=solver["solver_max_conflicts"],
+        order_constraints=solver["order_constraints"],
+        lock_analysis=lock_analysis,
+        memory_model=solver["memory_model"],
+        cache=VerdictCache(),
+        solver_timeout=solver["solver_timeout"],
+        budget=budget,
+    )
+    checker = ALL_CHECKERS[payload["kind"]](
+        bundle,
+        limits=payload["limits"],
+        realizability=realizability,
+        budget=budget,
+        **payload["checker"],
+    )
+    return checker, list(checker.sources())

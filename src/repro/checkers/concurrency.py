@@ -1,26 +1,16 @@
 """Shared helpers for the concurrency checker families (race, atomicity,
 order violation).
 
-These are the structural pre-SMT filters: deterministic object
-enumeration (``MemObject`` hashes by identity, so raw set iteration
-order is not stable across processes — detection sharding requires the
-sorted order), lock-set disjointness, and condition-variable ordering.
+These are the structural pre-SMT filters: lock-set disjointness and
+condition-variable ordering.
 Everything that survives them still has to pass the solver's Φ_all.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
-
 from ..ir.instructions import Instruction
-from ..ir.values import MemObject
 
-__all__ = ["lockset_disjoint", "sorted_objects", "sync_free"]
-
-
-def sorted_objects(objects: Iterable[MemObject]) -> List[MemObject]:
-    """Deterministic enumeration order for a set of memory objects."""
-    return sorted(objects, key=lambda o: (o.name, o.kind, o.context))
+__all__ = ["lockset_disjoint", "sync_free"]
 
 
 def lockset_disjoint(lock_analysis, a: Instruction, b: Instruction) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, List, Set, Tuple
 
 from ..ir.instructions import FreeInst, Instruction
-from ..ir.values import Variable
+from ..ir.values import Variable, sorted_objects
 from ..smt.terms import TRUE, BoolTerm, lt
 from ..vfg.graph import DefNode, ObjNode, VFGNode
 from ..detection.partial_order import order_var
@@ -27,7 +27,7 @@ class DoubleFreeChecker(SourceSinkChecker):
         interference = self.bundle.interference
         for inst in self.bundle.module.all_instructions():
             if isinstance(inst, FreeInst) and isinstance(inst.pointer, Variable):
-                for obj in interference.points_to_objects(inst.pointer):
+                for obj in sorted_objects(interference.points_to_objects(inst.pointer)):
                     alias = interference.pted_guard(obj, DefNode(inst.pointer))
                     yield ObjNode(obj), inst, alias if alias is not None else TRUE
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 from typing import Iterable, Set, Tuple
 
 from ..ir.instructions import Instruction, LoadInst, StoreInst
-from ..ir.values import Variable
+from ..ir.values import Variable, sorted_objects
 from ..smt.terms import TRUE, BoolTerm
 from ..vfg.graph import DefNode, StoreNode, VFGNode
 from .base import SourceSinkChecker
-from .concurrency import sorted_objects
 
 __all__ = ["OrderViolationChecker"]
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 from typing import Iterable, Set, Tuple
 
 from ..ir.instructions import Instruction, LoadInst, StoreInst
-from ..ir.values import Variable
+from ..ir.values import Variable, sorted_objects
 from ..smt.terms import TRUE, BoolTerm
 from ..vfg.graph import DefNode, ObjNode, VFGNode
 from .base import SourceSinkChecker
-from .concurrency import lockset_disjoint, sorted_objects, sync_free
+from .concurrency import lockset_disjoint, sync_free
 
 __all__ = ["DataRaceChecker"]
 
@@ -62,7 +62,8 @@ class DataRaceChecker(SourceSinkChecker):
                 continue
             # Write-write pairs are symmetric: report each once, from the
             # textually earlier store (the later store finds the pair too
-            # and is dropped here, keeping shard/serial keys identical).
+            # and is dropped here, so the key does not depend on which
+            # store was searched first).
             if isinstance(use, StoreInst) and use.label < source_inst.label:
                 continue
             if not mhp.may_happen_in_parallel(source_inst, use):

@@ -6,7 +6,6 @@ from .realizability import (
     PathQuery,
     RealizabilityChecker,
     RealizabilityResult,
-    StreamingSolver,
     VerdictCache,
 )
 from .search import (
@@ -25,7 +24,6 @@ __all__ = [
     "RealizabilityChecker",
     "RealizabilityResult",
     "SinkReachabilityIndex",
-    "StreamingSolver",
     "VerdictCache",
     "PathSearcher",
     "SearchLimits",

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 __all__ = [
     "Value",
     "Variable",
     "VariableNamer",
     "MemObject",
+    "sorted_objects",
     "IntConstant",
     "NullConstant",
     "SymbolicConstant",
@@ -116,6 +117,14 @@ class MemObject(Value):
         if len(self.context) >= max_depth:
             return self
         return MemObject(self.name, self.kind, self.context + (callsite,))
+
+
+def sorted_objects(objects: Iterable[MemObject]) -> List[MemObject]:
+    """Memory objects in content order.  ``MemObject`` hashes by identity,
+    so iterating a set of them follows addresses, which differ between
+    runs in one process; every order that reaches the VFG or a report
+    goes through here instead."""
+    return sorted(objects, key=lambda o: (o.name, o.kind, o.context))
 
 
 @dataclass(frozen=True)

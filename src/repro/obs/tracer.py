@@ -8,11 +8,11 @@ in order:
 1. **zero overhead when off** — the default tracer is disabled; its
    ``span()`` returns a shared no-op singleton (no allocation, no lock),
    so instrumented code pays one attribute check per site;
-2. **cross-process spans** — a :class:`SpanContext` (trace id + span id)
-   is picklable and rides along with solver-pool payloads; the worker
-   records spans into a :class:`SpanRecorder` (plain dicts, picklable)
-   and the parent :meth:`Tracer.ingest`\\ s them under the submitting
-   span, so a query solved three processes away still nests correctly;
+2. **detached recording** — a :class:`SpanContext` (trace id + span id)
+   is picklable; work recorded into a :class:`SpanRecorder` (plain
+   dicts, picklable) — the SMT solver's inner spans — is
+   :meth:`Tracer.ingest`\\ ed under that context, so it nests correctly
+   wherever it ran;
 3. **exporter-agnostic** — finished spans are plain data; the exporters
    in :mod:`repro.obs.export` turn them into newline-delimited JSON or
    Chrome trace events.
@@ -173,7 +173,7 @@ class Tracer:
 
         Parentage defaults to the innermost open span *of this thread*;
         pass ``parent`` explicitly to attach work running on a helper
-        thread (e.g. enumeration producers) under its logical parent.
+        thread under its logical parent.
         """
         if not self.enabled:
             return NULL_SPAN

@@ -308,20 +308,18 @@ def solve_formula(
 ) -> Tuple[Result, Dict[str, int], Dict[str, bool], float, str]:
     """Decide one formula and return only plain picklable data.
 
-    This is the unit of work the parallel realizability backends ship to
-    workers: ``(verdict, int_assignment, bool_atom_assignment,
-    solve_seconds, unknown_reason)``.  The formula itself pickles
-    structurally (terms re-intern on load), and the result deliberately
-    contains no ``Model`` or term objects so it crosses a process
-    boundary cheaply.  ``timeout`` is the per-query wall budget in
-    seconds (relative, so it is meaningful in any worker process); an
-    exhausted budget yields ``UNKNOWN`` with ``unknown_reason`` set
-    (``''`` on decided verdicts).
+    Every path query goes through here: ``(verdict, int_assignment,
+    bool_atom_assignment, solve_seconds, unknown_reason)``.  The result
+    deliberately contains no ``Model`` or term objects, so it can be
+    cached and carried across processes as plain data.  ``timeout`` is
+    the per-query wall budget in seconds (relative, so it is meaningful
+    in any process); an exhausted budget yields ``UNKNOWN`` with
+    ``unknown_reason`` set (``''`` on decided verdicts).
 
     ``recorder`` is an optional :class:`~repro.obs.tracer.SpanRecorder`;
     when given, the solve is wrapped in a ``solver.solve`` span carrying
     the verdict and the solver's own counters (theory rounds, SAT
-    conflicts).  Works identically in-process and in pool workers.
+    conflicts).
 
     Every query gets a fresh :class:`Solver` (or cube-and-conquer split),
     so the answer is a pure function of the arguments: nothing a query

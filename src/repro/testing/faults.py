@@ -9,9 +9,9 @@ hooks (:func:`fault_point`) at the places failures occur in the wild:
 * ``pass:<name>`` — entry of every pipeline pass (``pass:pointer``,
   ``pass:interference``, ``pass:detect:use-after-free``, ...);
 * ``solver:solve`` — entry of :func:`repro.smt.solver.solve_formula`,
-  i.e. every SMT query on any backend;
-* ``worker:solve`` — the same point, but only inside a worker *process*
-  (used to simulate pool deaths).
+  i.e. every SMT query, in the driver or in a detection worker;
+* ``worker:detect`` — start of each detection-pool task
+  (``detect_workers > 1``), used to simulate pool deaths.
 
 A :class:`FaultPlan` arms a set of points with one of three behaviors:
 
@@ -19,10 +19,10 @@ A :class:`FaultPlan` arms a set of points with one of three behaviors:
 * **stall** — sleep ``stall_seconds`` (a slow query that should trip
   the per-query solver deadline);
 * **die** — ``os._exit`` the current *worker process* (a pool death;
-  a guard makes this a no-op in the main process so thread backends
-  are never killed).  With ``die_once_path`` set, only the first
-  worker to reach the point dies (a crash-then-recover scenario for
-  the retry path); without it, every worker dies (retry exhaustion).
+  a guard makes this a no-op in the main process, so the driver is
+  never killed).  With ``die_once_path`` set, only the first worker to
+  reach the point dies (a crash-then-recover scenario); without it,
+  every worker dies.
 
 Plans install into a module global *and* the ``CANARY_FAULTS``
 environment variable (JSON), so forked/spawned pool workers observe the

@@ -181,7 +181,7 @@ class DataDependenceAnalysis:
         self.function_extents: Dict[str, Tuple[int, ...]] = {}
 
     def __getstate__(self):
-        """Detection-sharding workers receive the finished analysis by
+        """Detection workers receive the finished analysis by
         pickle; the tracer (holds a lock) and any in-progress journal are
         parent-side concerns and do not cross the process boundary."""
         state = dict(self.__dict__)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..ir.instructions import ForkInst, LoadInst, StoreInst
-from ..ir.values import MemObject, Value, Variable
+from ..ir.values import MemObject, Value, Variable, sorted_objects
 from ..smt.terms import FALSE, TRUE, BoolTerm, and_, or_
 from ..smt.simplify import quick_unsat
 from ..threads.mhp import MhpAnalysis
@@ -88,7 +88,7 @@ class InterferenceAnalysis:
 
     def __getstate__(self):
         """The metrics registry (holds a lock) stays parent-side when the
-        finished analysis ships to a detection-sharding worker."""
+        finished analysis ships to a detection worker."""
         state = dict(self.__dict__)
         state["metrics"] = None
         return state
@@ -253,7 +253,9 @@ class InterferenceAnalysis:
 
     def _add_interference_edges(self) -> int:
         added = 0
-        for obj in list(self.escaped):
+        # Content order: edges land in the VFG's adjacency lists in the
+        # order they are added, and the path search follows that order.
+        for obj in sorted_objects(self.escaped):
             pted = self.pted.get(obj, {})
             if not pted:
                 continue

@@ -25,24 +25,16 @@ per-node adjacency lists in the real VFG are ordinal-sorted by
 construction, so merging per-shard ``(ordinal, edge)`` entries and
 appending interference-created overlay edges (whose ordinals are larger
 than every dataflow ordinal) reproduces ``vfg.out_edges`` byte for byte.
-
-Fingerprint hashing is sharded across a ``ProcessPoolExecutor``
-(``summary_workers``/``--summary-workers``), with the same
-process -> thread -> serial fallback ladder as the solver backend and a
-``worker:summary`` fault point for pool-death injection.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.values import MemObject, Variable
 from ..smt.terms import structural_key
-from ..testing.faults import fault_point
 from .graph import DefNode, NullNode, ObjNode, StoreNode, VFGEdge, ValueFlowGraph
 
 __all__ = [
@@ -308,14 +300,11 @@ def _encode_function(dataflow, name: str):
     return (name, edge_rows, site_rows)
 
 
-def _fingerprint_chunk(chunk) -> List[Tuple[str, str]]:
-    """Worker target: hash each function payload to its content
-    fingerprint.  Runs identically on the process pool, the thread
-    fallback and the serial path."""
-    fault_point("worker:summary")
-    results: List[Tuple[str, str]] = []
+def _fingerprint_functions(payloads) -> Dict[str, str]:
+    """Hash each function payload to its content fingerprint."""
+    results: Dict[str, str] = {}
     guard_keys: Dict[int, str] = {}
-    for name, edge_rows, site_rows in chunk:
+    for name, edge_rows, site_rows in payloads:
         hasher = hashlib.sha256()
         hasher.update(repr(name).encode())
         for rel, src, dst, kind, callsite, guard, interthread in edge_rows:
@@ -328,7 +317,7 @@ def _fingerprint_chunk(chunk) -> List[Tuple[str, str]]:
             )
         for row in site_rows:
             hasher.update(repr(row).encode())
-        results.append((name, hasher.hexdigest()))
+        results[name] = hasher.hexdigest()
     return results
 
 
@@ -375,7 +364,7 @@ def _decode_disk_summary(
     )
 
 
-# ----- sharded computation --------------------------------------------------
+# ----- computation ----------------------------------------------------------
 
 
 def _site_index(sites, start: int, end: int) -> Dict[Variable, List[int]]:
@@ -387,90 +376,13 @@ def _site_index(sites, start: int, end: int) -> Dict[Variable, List[int]]:
     return index
 
 
-def _chunks(payloads: List, n: int) -> List[List]:
-    n = max(1, min(n, len(payloads)))
-    size, rem = divmod(len(payloads), n)
-    out, start = [], 0
-    for i in range(n):
-        end = start + size + (1 if i < rem else 0)
-        if end > start:
-            out.append(payloads[start:end])
-        start = end
-    return out
-
-
-def _run_sharded(
-    payloads: List,
-    workers: int,
-    backend: str,
-    metrics=None,
-    tracer=None,
-) -> Dict[str, str]:
-    """Fingerprint payloads across ``workers`` shards with the
-    process -> thread -> serial fallback ladder; exact on every rung."""
-
-    def _span(name: str, **attrs):
-        if tracer is not None:
-            return tracer.span(name, **attrs)
-        return contextlib.nullcontext()
-
-    def _count(name: str, delta: int = 1) -> None:
-        if metrics is not None:
-            metrics.counter(f"summary.{name}").add(delta)
-
-    fingerprints: Dict[str, str] = {}
-    if not payloads:
-        return fingerprints
-    chunks = _chunks(payloads, workers)
-    if workers <= 1 or len(chunks) <= 1:
-        with _span("summary.shard", shard=0, functions=len(payloads)):
-            for name, digest in _fingerprint_chunk(payloads):
-                fingerprints[name] = digest
-        return fingerprints
-
-    def _pool_run(executor_cls) -> Dict[str, str]:
-        done: Dict[str, str] = {}
-        with executor_cls(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_fingerprint_chunk, chunk) for chunk in chunks]
-            for shard, (chunk, future) in enumerate(zip(chunks, futures)):
-                with _span("summary.shard", shard=shard, functions=len(chunk)):
-                    for name, digest in future.result():
-                        done[name] = digest
-        return done
-
-    if backend == "process":
-        try:
-            fingerprints = _pool_run(ProcessPoolExecutor)
-            return fingerprints
-        except (OSError, RuntimeError, ImportError, EOFError):
-            # BrokenProcessPool is a RuntimeError subclass: a dying
-            # worker (or a sandbox with no process spawning) lands here.
-            _count("pool_failures")
-            backend = "thread"
-    if backend == "thread":
-        try:
-            fingerprints = _pool_run(ThreadPoolExecutor)
-            return fingerprints
-        except RuntimeError:
-            _count("pool_failures")
-    # Serial last resort — always exact, never fails.
-    _count("serial_fallbacks")
-    with _span("summary.shard", shard=0, functions=len(payloads), fallback=True):
-        for name, digest in _fingerprint_chunk(payloads):
-            fingerprints[name] = digest
-    return fingerprints
-
-
 def compute_summaries(
     dataflow,
     *,
     store=None,
     lineage_key: str = "",
     config_key: str = "",
-    workers: int = 1,
-    backend: str = "process",
     metrics=None,
-    tracer=None,
 ) -> SummaryIndex:
     """Build (or reuse) the per-function summaries for one Alg. 1 run.
 
@@ -527,7 +439,7 @@ def compute_summaries(
             pending.append(name)
             summaries[name] = None  # placeholder keeps pass order
     payloads = [_encode_function(dataflow, name) for name in pending]
-    fingerprints = _run_sharded(payloads, workers, backend, metrics, tracer)
+    fingerprints = _fingerprint_functions(payloads)
     for name in pending:
         extent = dataflow.function_extents[name]
         summary = FunctionVFSummary(
@@ -546,6 +458,4 @@ def compute_summaries(
             _count("disk_stores")
         _count("computed")
     _count("functions", len(summaries))
-    if metrics is not None:
-        metrics.gauge("summary.workers").set(workers)
     return SummaryIndex(dataflow.vfg, summaries)

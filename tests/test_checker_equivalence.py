@@ -4,10 +4,11 @@ Two contracts over the *entire* corpus, with every file's directive
 checkers unioned with the three concurrency families:
 
 * **equivalence** — detection must be byte-identical at every
-  ``detect_workers`` width (1, 2, 8): same bug keys, same witness
-  paths.  Sharded workers rebuild checkers from fixed kwargs and replay
-  (source-index, sequence) ordinals, so any nondeterminism (unsorted
-  object sets, dict-order iteration) shows up here;
+  ``detect_workers`` width (2 and 8 against 1): the same report list,
+  in order, with the same paths and witnesses.  Pool workers rebuild
+  checkers from fixed kwargs and re-enumerate the sources, so any
+  nondeterminism (unsorted object sets, dict-order iteration) shows up
+  here;
 * **replay** — every realizable report must confirm dynamically via
   :func:`repro.interp.confirm_all`.  Files configured with a relaxed
   memory model are skipped: the concrete interpreter executes program
@@ -39,7 +40,7 @@ from test_corpus import CORPUS_FILES, _parse_directives
 #: they only need to be *deterministic* and *replayable*.
 CONCURRENCY_FAMILIES = ("data-race", "atomicity-violation", "order-violation")
 
-WORKER_WIDTHS = (1, 2, 8)
+WORKER_WIDTHS = (2, 8)
 
 
 def _file_setup(path: Path) -> Tuple[str, Tuple[str, ...], Dict[str, object]]:
@@ -49,10 +50,10 @@ def _file_setup(path: Path) -> Tuple[str, Tuple[str, ...], Dict[str, object]]:
     return text, all_checkers, config
 
 
-def _analyze(text, filename, checkers, config, workers=1):
+def _analyze(text, filename, checkers, config, workers=None):
     overrides = dict(config, checkers=checkers, use_cache=False)
-    if workers > 1:
-        overrides.update(detect_workers=workers, solver_backend="process")
+    if workers is not None:
+        overrides["detect_workers"] = workers
     report = Canary(AnalysisConfig(**overrides)).analyze_source(
         text, filename=filename
     )
@@ -60,22 +61,21 @@ def _analyze(text, filename, checkers, config, workers=1):
 
 
 def _signature(report):
-    return sorted((b.key, tuple(b.path)) for b in report.bugs)
+    return [
+        (b.key, b.path, b.witness_order, b.witness_env) for b in report.bugs
+    ]
 
 
+@pytest.mark.parametrize("width", WORKER_WIDTHS)
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
-def test_detection_equivalent_at_every_width(path: Path):
+def test_detection_equivalent_at_every_width(path: Path, width: int):
     text, checkers, config = _file_setup(path)
-    reference = None
-    for width in WORKER_WIDTHS:
-        report = _analyze(text, path.name, checkers, config, workers=width)
-        signature = _signature(report)
-        if reference is None:
-            reference = signature
-        else:
-            assert signature == reference, (
-                f"{path.name}: detect_workers={width} diverged from serial"
-            )
+    reference = _analyze(text, path.name, checkers, config, workers=1)
+    report = _analyze(text, path.name, checkers, config, workers=width)
+    assert _signature(report) == _signature(reference), (
+        f"{path.name}: detect_workers={width} diverged from serial"
+    )
+    assert report.search_statistics == reference.search_statistics
 
 
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])

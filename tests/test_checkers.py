@@ -226,7 +226,7 @@ class TestAblations:
         c = analyze(FIG2_BUGGY, prune_guards=False)
         assert c.num_reports == 1
 
-    def test_parallel_solving_same_result(self):
+    def test_detect_workers_same_result(self):
         a = analyze(SIMPLE_UAF)
-        b = analyze(SIMPLE_UAF, parallel_solving=True)
+        b = analyze(SIMPLE_UAF, detect_workers=2)
         assert a.num_reports == b.num_reports

@@ -58,21 +58,19 @@ class TestAnalyzerCli:
         out = capsys.readouterr().out
         assert "VFG:" in out
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_backend_flags(self, backend, capsys):
-        rc = repro_main(
-            [
-                str(CORPUS / "uaf_basic.mcc"),
-                "--parallel",
-                "--backend",
-                backend,
-                "--workers",
-                "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "1 finding(s)" in out
+    def test_detect_workers_flag_prints_serial_output(self, capsys):
+        args = [
+            str(CORPUS / "lock_wrong_mutex.mcc"),
+            "--checkers",
+            "race,atomicity,order,uaf",
+            "--model-locks",
+        ]
+        rc_serial = repro_main(args)
+        serial = capsys.readouterr().out
+        rc_pooled = repro_main(args + ["--detect-workers", "2"])
+        pooled = capsys.readouterr().out
+        assert rc_serial == rc_pooled == 1
+        assert pooled == serial
 
     def test_cube_flag(self, capsys):
         rc = repro_main([str(CORPUS / "uaf_basic.mcc"), "--cube"])
@@ -86,9 +84,13 @@ class TestAnalyzerCli:
         out = capsys.readouterr().out
         assert "queries" in out and "cache" in out and "parse" in out
 
-    def test_bad_backend_rejected(self):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--parallel"], ["--workers", "2"], ["--backend", "process"], ["--summary-workers", "2"]],
+    )
+    def test_removed_pool_flags_rejected(self, flags):
         with pytest.raises(SystemExit):
-            repro_main([str(CORPUS / "uaf_basic.mcc"), "--backend", "nonsense"])
+            repro_main([str(CORPUS / "uaf_basic.mcc")] + flags)
 
     def test_removed_incremental_smt_flag_rejected(self):
         with pytest.raises(SystemExit):

@@ -338,8 +338,9 @@ class TestShardingEquivalence:
             "worker", "rworker"
         )
         ref = run(src, checkers)
-        rep = run(src, checkers, detect_workers=workers, solver_backend="process")
-        assert sorted(b.key for b in rep.bugs) == sorted(b.key for b in ref.bugs)
-        assert sorted((b.key, tuple(b.path)) for b in rep.bugs) == sorted(
-            (b.key, tuple(b.path)) for b in ref.bugs
-        )
+        rep = run(src, checkers, detect_workers=workers)
+        assert rep.metrics.snapshot().get("detect.shards", 0) >= 2
+        assert [
+            (b.key, b.path, b.witness_order, b.witness_env) for b in rep.bugs
+        ] == [(b.key, b.path, b.witness_order, b.witness_env) for b in ref.bugs]
+        assert rep.search_statistics == ref.search_statistics

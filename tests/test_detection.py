@@ -268,23 +268,6 @@ class TestRealizability:
         assert not result.realizable
         assert result.verdict == "unsat"
 
-    def test_parallel_check_many(self):
-        from repro.smt import lt, int_var
-
-        bundle = bundle_for(SIMPLE_UAF)
-        checker = RealizabilityChecker(bundle)
-        alloc = bundle.module.functions["worker"].body[0]
-        queries = [
-            PathQuery(
-                path=ValueFlowPath(origin=ObjNode(alloc.obj)),
-                source_inst=None,
-                sink_inst=None,
-            )
-            for _ in range(6)
-        ]
-        results = checker.check_many(queries, parallel=True, max_workers=3)
-        assert all(r.realizable for r in results)
-
     def test_witness_only_order_vars(self):
         bundle = bundle_for(FIG2_BUGGY)
         checker = RealizabilityChecker(bundle)

@@ -138,18 +138,15 @@ class TestCrossProcess:
 
 
 def _witness_dump(portable):
-    """Keys plus witnesses of a portable report, in key order, as JSON."""
-    return json.dumps(
-        sorted(
-            [b["kind"], b["source"], b["sink"], b["witness_order"], b["witness_env"]]
-            for b in portable["bugs"]
-        ),
-        sort_keys=True,
-    )
+    """The report list of a portable report, in report order, as JSON:
+    keys, paths and witnesses."""
+    return json.dumps(portable["bugs"], sort_keys=True)
 
 
 class TestRunHistory:
-    """Witnesses must not depend on what the process analysed before."""
+    """The report list, in order, must not depend on what the process
+    analysed before (memory objects hash by identity, so any set of them
+    iterated on the way to the VFG or a report shows up here)."""
 
     SOURCE = detection_scaled_program(n_threads=5, n_slots=3, pad_functions=0)
 

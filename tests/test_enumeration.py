@@ -22,6 +22,7 @@ from repro.vfg.graph import ValueFlowGraph
 from repro.__main__ import main as repro_main
 
 from test_corpus import CORPUS_FILES, _parse_directives
+from test_parallel_engine import report_list, suppressed_list
 from programs import SIMPLE_UAF
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -268,25 +269,24 @@ class TestPrunedEquivalence:
     @pytest.mark.parametrize(
         "path", CORPUS_FILES[::3], ids=[p.stem for p in CORPUS_FILES[::3]]
     )
-    def test_corpus_streaming_matches_batch_and_serial(self, path):
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_corpus_pool_matches_serial(self, path, workers):
+        """The pruned search gives the same report list, in order, and the
+        same enumeration counters whether the per-source loop runs in this
+        process or across a detection pool."""
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)
-        overrides.pop("parallel_solving", None)
-        base = dict(checkers=checkers, **overrides)
-        serial = Canary(
-            AnalysisConfig(parallel_solving=False, **base)
+        overrides.pop("detect_workers", None)
+        base = dict(checkers=checkers, use_cache=False, **overrides)
+        serial = Canary(AnalysisConfig(**base)).analyze_source(
+            text, filename=path.name
+        )
+        pooled = Canary(
+            AnalysisConfig(detect_workers=workers, **base)
         ).analyze_source(text, filename=path.name)
-        streaming = Canary(
-            AnalysisConfig(
-                parallel_solving=True, streaming_solving=True, solver_workers=4, **base
-            )
-        ).analyze_source(text, filename=path.name)
-        batch = Canary(
-            AnalysisConfig(
-                parallel_solving=True, streaming_solving=False, solver_workers=4, **base
-            )
-        ).analyze_source(text, filename=path.name)
-        assert _keys(serial) == _keys(streaming) == _keys(batch), path.name
+        assert report_list(pooled) == report_list(serial), path.name
+        assert pooled.search_statistics == serial.search_statistics
+        assert suppressed_list(pooled) == suppressed_list(serial)
 
     def test_pruning_actually_fires_somewhere(self):
         """At least one corpus program exercises each prune counter."""

@@ -128,6 +128,22 @@ class TestConfigCacheKey:
         with pytest.raises(TypeError):
             AnalysisConfig(incremental_smt=False)
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "parallel_solving",
+            "streaming_solving",
+            "enumeration_workers",
+            "solver_workers",
+            "solver_backend",
+            "summary_workers",
+        ],
+    )
+    def test_pool_knobs_are_gone(self, knob):
+        assert knob not in {f.name for f in dataclasses.fields(AnalysisConfig)}
+        with pytest.raises(TypeError):
+            AnalysisConfig(**{knob: 2})
+
     def test_cache_plumbing_fields_do_not_change_the_key(self):
         base = AnalysisConfig()
         assert (

@@ -318,6 +318,25 @@ class TestHttpEndpoints:
         assert _call(port, "GET", "/reports/r999999")[0] == 404
         assert _call(port, "GET", "/nope")[0] == 404
 
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "parallel_solving",
+            "streaming_solving",
+            "enumeration_workers",
+            "solver_workers",
+            "solver_backend",
+            "summary_workers",
+        ],
+    )
+    def test_removed_pool_knobs_rejected(self, http_server, knob):
+        port, _service = http_server
+        status, body = _call(
+            port, "POST", "/analyze", {"source": "int main() { return 0; }",
+                                       "config": {knob: 2}}
+        )
+        assert status == 400 and knob in body["error"]
+
     def test_cancel_endpoints(self, http_server):
         port, service = http_server
         text, overrides = _subject("uaf_basic.mcc")

@@ -369,14 +369,3 @@ class TestOneShotPath:
         # (verdict, ints, bools, seconds, reason): all but the time match
         assert first[0] == SAT
         assert (first[:3], first[4]) == (again[:3], again[4])
-
-    def test_solve_payload_four_and_five_tuples(self):
-        from repro.detection.realizability import _solve_payload
-
-        x, y = int_var("x"), int_var("y")
-        formula = and_(lt(x, y), le(y, 10))
-        plain = _solve_payload((formula, None, False, None))
-        assert len(plain) == 5 and plain[0] == SAT
-        traced = _solve_payload((formula, None, False, None, None))
-        assert len(traced) == 6
-        assert traced[:3] == plain[:3]

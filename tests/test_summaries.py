@@ -1,11 +1,10 @@
 """The per-function summary layer (:mod:`repro.vfg.summaries`).
 
 Covers the exactness contract (identical adjacency, identical bug keys
-with summaries on/off and across worker counts/backends), the artifact
-round-trip (compute → persist → demand-load), single-edit invalidation
-(exactly one summary recomputed), and the degradation ladder (pool
-death → thread fallback → serial; a crashing summaries pass falls back
-to the unsharded fixpoint without losing findings).
+with summaries on/off), the artifact round-trip (compute → persist →
+demand-load), single-edit invalidation (exactly one summary
+recomputed), and degradation (a crashing summaries pass falls back to
+the unsharded fixpoint without losing findings).
 """
 
 import pytest
@@ -85,17 +84,14 @@ class TestExactness:
         off = Canary(AnalysisConfig(**base, summaries=False)).analyze_source(text)
         assert _keys(on) == _keys(off)
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_worker_count_equivalence(self, workers, backend):
+    def test_scaled_subject_equal_on_off(self):
         ref = _run(SCALED, summaries=False)
-        rep = _run(SCALED, summary_workers=workers, solver_backend=backend)
+        rep = _run(SCALED)
         assert _keys(rep) == _keys(ref)
         assert len(_keys(rep)) == 2  # the generator's deterministic bugs
         assert rep.vfg_summary == ref.vfg_summary
         snap = rep.metrics.snapshot()
         assert snap["summary.computed"] == snap["summary.functions"]
-        assert snap["summary.workers"] == workers
 
 
 class TestArtifactRoundTrip:
@@ -155,7 +151,7 @@ class TestArtifactRoundTrip:
     def test_compute_summaries_direct(self):
         report = _run(SUBJECT)
         dataflow = report.bundle.dataflow
-        index = compute_summaries(dataflow, workers=1)
+        index = compute_summaries(dataflow)
         assert set(index.summaries) == {"helper", "worker", "main"}
         total_span = sum(s.num_edges for s in index.summaries.values())
         # Every dataflow edge is owned by exactly one function span; the
@@ -242,32 +238,6 @@ class TestDiskNamespace:
 
 
 class TestDegradation:
-    def test_pool_death_falls_back_to_threads(self):
-        ref = _run(SCALED, summaries=False)
-        with inject(FaultPlan.make(die=["worker:summary"])):
-            rep = _run(SCALED, summary_workers=4, solver_backend="process")
-        assert _keys(rep) == _keys(ref)
-        snap = rep.metrics.snapshot()
-        assert snap.get("summary.pool_failures", 0) >= 1
-        assert snap["summary.computed"] == snap["summary.functions"]
-
-    def test_pool_death_die_once(self, tmp_path):
-        ref = _run(SCALED, summaries=False)
-        plan = FaultPlan.make(
-            die=["worker:summary"], die_once_path=str(tmp_path / "died")
-        )
-        with inject(plan):
-            rep = _run(SCALED, summary_workers=4, solver_backend="process")
-        assert _keys(rep) == _keys(ref)
-
-    def test_fault_seeded_runs_stay_exact(self, monkeypatch):
-        # The CI matrix path: a seeded plan must never change bug keys
-        # when it only kills summary workers.
-        monkeypatch.setenv(faults.SEED_ENV_VAR, "1")
-        with inject(FaultPlan.make(die=["worker:summary"])):
-            rep = _run(SUBJECT, summary_workers=2, solver_backend="process")
-        assert len(_keys(rep)) == 1
-
     def test_crashing_summaries_pass_keeps_findings(self):
         with inject(FaultPlan.make(crash=["pass:summaries"])):
             rep = _run(SUBJECT)
@@ -279,11 +249,6 @@ class TestDegradation:
         assert [r["name"] for r in failed] == ["summaries"]
         assert any("summary layer" in w for w in rep.degradation_warnings)
         assert _keys(rep) == _keys(_run(SUBJECT))
-
-    def test_thread_backend_never_dies(self):
-        with inject(FaultPlan.make(die=["worker:summary"])):
-            rep = _run(SUBJECT, summary_workers=2, solver_backend="thread")
-        assert len(_keys(rep)) == 1
 
 
 class TestMetricsAndObservability:
