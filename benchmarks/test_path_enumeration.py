@@ -12,12 +12,15 @@ Every comparison also asserts the exactness guarantee (identical bug
 keys with and without pruning).  Results are written to
 ``BENCH_enumeration.json`` in the repo root; wall-clock numbers are
 recorded there rather than hard-asserted (CI machines vary), except for
-generous pathology bounds.
+generous pathology bounds.  Each wall-clock number is the median of
+``REPEATS`` runs: a single run of a few milliseconds is too noisy for
+the regression gate to tell a slowdown from a scheduler hiccup.
 """
 
 from __future__ import annotations
 
 import pathlib
+import statistics
 import time
 
 from repro import AnalysisConfig, Canary
@@ -26,9 +29,10 @@ from repro.bench import write_bench_results
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "BENCH_enumeration.json"
 
-_UNPRUNED = dict(
-    sink_reachability=False, incremental_guard_pruning=False, dead_state_memo=False
-)
+_UNPRUNED = dict(sink_reachability=False, incremental_guard_pruning=False)
+
+#: timed runs per configuration; the recorded wall time is their median
+REPEATS = 5
 
 
 def _dead_fanout_program(width: int, depth: int) -> str:
@@ -76,9 +80,12 @@ def _guard_diamond_program(n_arms: int) -> str:
 
 
 def _run(text: str, **overrides):
-    t0 = time.perf_counter()
-    report = Canary(AnalysisConfig(**overrides)).analyze_source(text)
-    wall = time.perf_counter() - t0
+    walls = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        report = Canary(AnalysisConfig(**overrides)).analyze_source(text)
+        walls.append(time.perf_counter() - t0)
+    wall = statistics.median(walls)
     visits = sum(st.get("visits", 0) for st in report.search_statistics.values())
     pruned = sum(
         st.get("pruned_unreachable", 0) + st.get("pruned_guard", 0)

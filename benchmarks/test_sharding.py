@@ -6,13 +6,16 @@ the detection pool on a detection-heavy subject (exactness is
 hard-asserted; the speedup bar is core-conditional — a single-core host
 can only match the serial phase), and the disk-warm summary namespace (a
 fresh driver rehydrating 720/721 function summaries from disk after an
-edit).
+edit).  The disk-warm row's times are medians of ``REPEATS`` cold/warm
+pairs: the summaries phase takes tens of milliseconds, too little for a
+single run to be a stable regression baseline.
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+import statistics
 import sys
 
 from repro import AnalysisConfig, Canary
@@ -30,6 +33,9 @@ SUBJECT = scaled_program(n_groups=120, helpers_per_group=2)
 #: every writer republishes-and-frees on every slot, so the detect phase
 #: (192 SMT-checked candidates) dominates instead of the summary phase.
 DETECT_SUBJECT = detection_scaled_program(n_threads=64, n_slots=3, pad_functions=656)
+
+#: cold/warm pairs timed for the disk-warm row (each in fresh cache dirs)
+REPEATS = 5
 
 
 def _cores() -> int:
@@ -126,13 +132,20 @@ def test_disk_warm_summaries(tmp_path):
         )
 
     edited = SUBJECT.replace("void main() {", "void main() {\n    int zz = 1 + 2;")
-    cache = dict(cache_dir=str(tmp_path), summary_cache_dir=str(tmp_path))
-    cold = Canary(AnalysisConfig(**cache)).analyze_source(SUBJECT)
-    cold_s = summaries_seconds(cold)
-    # Fresh driver (new in-memory store — a new process in CI terms),
-    # edited source: the run digest misses but the summary namespace hits.
-    warm = Canary(AnalysisConfig(**cache)).analyze_source(edited)
-    warm_s = summaries_seconds(warm)
+    cold_times, warm_times = [], []
+    for i in range(REPEATS):
+        # Fresh directories per pair: the warm run stores its whole-run
+        # report, which would answer the next warm run without summaries.
+        cache_dir = str(tmp_path / f"pair{i}")
+        cache = dict(cache_dir=cache_dir, summary_cache_dir=cache_dir)
+        cold = Canary(AnalysisConfig(**cache)).analyze_source(SUBJECT)
+        cold_times.append(summaries_seconds(cold))
+        # Fresh driver (new in-memory store — a new process in CI terms),
+        # edited source: the run digest misses but the summary namespace hits.
+        warm = Canary(AnalysisConfig(**cache)).analyze_source(edited)
+        warm_times.append(summaries_seconds(warm))
+    cold_s = statistics.median(cold_times)
+    warm_s = statistics.median(warm_times)
     snap = warm.metrics.snapshot()
     assert snap["summary.disk_hits"] == 720
     assert snap["summary.computed"] == 1

@@ -62,11 +62,6 @@ def main(argv=None) -> int:
         "--show-vfg", action="store_true", help="dump the guarded value-flow graph"
     )
     parser.add_argument(
-        "--cube",
-        action="store_true",
-        help="decide path queries by cube-and-conquer splitting",
-    )
-    parser.add_argument(
         "--max-depth",
         type=int,
         default=None,
@@ -90,7 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-pruning",
         action="store_true",
-        help="disable sink-reachability / guard-prefix / dead-state pruning"
+        help="disable sink-reachability and guard-prefix pruning"
         " (reference enumeration, for debugging and ablation)",
     )
     parser.add_argument(
@@ -202,7 +197,6 @@ def main(argv=None) -> int:
         memory_model=args.memory_model,
         unroll_depth=args.unroll,
         context_depth=args.context_depth,
-        cube_and_conquer=args.cube,
         summaries=not args.no_summaries,
         detect_workers=args.detect_workers,
         max_path_depth=args.max_depth
@@ -216,7 +210,6 @@ def main(argv=None) -> int:
         else defaults.max_search_visits,
         sink_reachability=not args.no_pruning,
         incremental_guard_pruning=not args.no_pruning,
-        dead_state_memo=not args.no_pruning,
         timeout_seconds=args.timeout,
         pass_timeout_seconds=args.pass_timeout,
         solver_timeout_seconds=args.solver_timeout,

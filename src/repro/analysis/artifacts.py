@@ -13,11 +13,6 @@ Two layers:
   JSON-encoded whole-run reports keyed by the source text, filename and
   config hash, so a warm re-run in a fresh process is near-instant.
 
-The store also owns the cross-run solver caches: one
-:class:`~repro.detection.realizability.VerdictCache` (Φ_all → verdict)
-and one :class:`~repro.detection.reachability.ReachabilityIndexCache`,
-both shared by every run of the owning driver.
-
 Thread-safety: all counters, the event log and the memory layer are
 guarded by one reentrant lock, so concurrent pipelines (the daemon's
 worker pool) can share a store.  Mutable lineage-keyed artifacts
@@ -37,9 +32,6 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..detection.reachability import ReachabilityIndexCache
-from ..detection.realizability import VerdictCache
-
 __all__ = ["ArtifactStore"]
 
 
@@ -52,7 +44,6 @@ class ArtifactStore:
         summary_cache_dir: Optional[str] = None,
         max_memory_entries: Optional[int] = None,
         max_events: Optional[int] = None,
-        index_capacity: int = 32,
     ) -> None:
         self.cache_dir = cache_dir
         #: dedicated home of the per-function summary namespace (``vfs``);
@@ -86,12 +77,6 @@ class ArtifactStore:
         #: than no cache entry at all
         self.disk_unportable = 0
         self.events: List[str] = []
-        #: Φ_all → verdict memo shared across runs (PR 1)
-        self.verdict_cache = VerdictCache()
-        #: sink-set → backward reachability index memo shared across runs
-        #: (PR 2); LRU-bounded, so a resident daemon keeps hot sink
-        #: classes warm instead of periodically losing the whole cache
-        self.index_cache = ReachabilityIndexCache(capacity=index_capacity)
         for directory in (cache_dir, summary_cache_dir):
             if directory:
                 os.makedirs(directory, exist_ok=True)

@@ -42,17 +42,11 @@ class AnalysisConfig:
     max_paths_per_source: int = 512
     max_search_visits: int = 200_000
     max_reports_per_source: int = 8
-    #: sink-directed enumeration (all exact w.r.t. reported bug keys):
+    #: sink-directed enumeration (both exact w.r.t. reported bug keys):
     #: prune DFS edges into nodes that cannot reach the checker's sinks
     sink_reachability: bool = True
     #: fold edge guards into an incremental quick-unsat prefix mid-DFS
     incremental_guard_pruning: bool = True
-    #: memoize (node, context, guard-fingerprint) states proven dead
-    dead_state_memo: bool = True
-    #: memoize Φ_all → verdict across all checkers of one run
-    verdict_cache: bool = True
-    #: use cube-and-conquer splitting for path queries (paper §5.2)
-    cube_and_conquer: bool = False
     #: per-function value-flow/escape summaries between Alg. 1 and
     #: Alg. 2: interference runs its fixpoint over indexed, demand-loaded
     #: function spans instead of whole-VFG scans (exact w.r.t. bug keys)

@@ -171,7 +171,7 @@ class AnalysisReport:
 
     @property
     def search_statistics(self) -> Dict[str, Dict[str, int]]:
-        """Per-checker enumeration counters (visits, prunes, memo hits, ...)."""
+        """Per-checker enumeration counters (visits, prunes, truncations)."""
         return self._labelled_stats(_NS_SEARCH)
 
     @property
@@ -200,13 +200,6 @@ class AnalysisReport:
     def num_reports(self) -> int:
         return len(self.bugs)
 
-    @property
-    def cache_hit_rate(self) -> float:
-        s = self.solver_statistics
-        hits = s.get("cache_hits", 0)
-        misses = s.get("cache_misses", 0)
-        return hits / (hits + misses) if hits + misses else 0.0
-
     def passes_run(self) -> List[str]:
         """Names of the passes that actually executed (not cached)."""
         return [p["name"] for p in self.pass_statistics if p["status"] == "run"]
@@ -225,9 +218,7 @@ class AnalysisReport:
             f"solver: {s.get('queries', 0)} queries"
             f" (sat {s.get('sat', 0)} / unsat {s.get('unsat', 0)}"
             f" / unknown {s.get('unknown', 0)}),"
-            f" {s.get('solve_seconds', 0.0):.3f}s solving,"
-            f" cache {s.get('cache_hits', 0)}/{s.get('cache_hits', 0) + s.get('cache_misses', 0)}"
-            f" hits ({100.0 * self.cache_hit_rate:.0f}%)",
+            f" {s.get('solve_seconds', 0.0):.3f}s solving",
         ]
         if self.pass_statistics:
             run = len(self.passes_run())
@@ -244,8 +235,7 @@ class AnalysisReport:
             lines.append(
                 f"enumeration: {totals.get('visits', 0)} nodes visited,"
                 f" pruned {totals.get('pruned_unreachable', 0)} unreachable"
-                f" / {totals.get('pruned_guard', 0)} guard-unsat,"
-                f" {totals.get('memo_hits', 0)} dead-state memo hit(s)"
+                f" / {totals.get('pruned_guard', 0)} guard-unsat"
             )
         for warning in self.truncation_warnings:
             lines.append(f"warning: {warning}")

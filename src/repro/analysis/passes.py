@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..checkers import ALL_CHECKERS, BugReport
-from ..detection.reachability import ReachabilityIndexCache
-from ..detection.realizability import RealizabilityChecker, VerdictCache
+from ..detection.realizability import RealizabilityChecker
 from ..detection.search import SearchLimits
 from ..frontend import parse_program
 from ..frontend.ast_nodes import Program
@@ -591,12 +590,10 @@ class AnalysisPipeline:
             lock_analysis = LockAnalysis(module)
         realizability = RealizabilityChecker(
             bundle,
-            use_cube_and_conquer=cfg.cube_and_conquer,
             solver_max_conflicts=cfg.solver_max_conflicts,
             order_constraints=cfg.order_constraints,
             lock_analysis=lock_analysis,
             memory_model=cfg.memory_model,
-            cache=self._verdict_cache(caching),
             solver_timeout=cfg.solver_timeout_seconds,
             budget=budget,
             metrics=self.registry,
@@ -607,9 +604,6 @@ class AnalysisPipeline:
             max_paths_per_source=cfg.max_paths_per_source,
             max_visits=cfg.max_search_visits,
             context_depth=cfg.context_depth,
-        )
-        index_cache = (
-            self.store.index_cache if caching else ReachabilityIndexCache()
         )
         for name in cfg.checkers:
             if self._out_of_time(f"detect:{name}"):
@@ -623,8 +617,6 @@ class AnalysisPipeline:
                 collect_suppressed=cfg.collect_suppressed,
                 sink_reachability=cfg.sink_reachability,
                 guard_pruning=cfg.incremental_guard_pruning,
-                dead_memo=cfg.dead_state_memo,
-                index_cache=index_cache,
                 detect_workers=cfg.detect_workers,
                 budget=budget,
                 tracer=self.tracer,
@@ -704,13 +696,6 @@ class AnalysisPipeline:
         )
         self._finish_report(report, events_mark)
         return report
-
-    def _verdict_cache(self, caching: bool) -> Optional[VerdictCache]:
-        if not self.config.verdict_cache:
-            return None
-        # Terms are hash-consed, so Φ_all → verdict entries stay valid
-        # across runs; share the store's cache for cross-run reuse.
-        return self.store.verdict_cache if caching else VerdictCache()
 
     def _detection_fingerprint(
         self, checker, bundle: VFGBundle, skeleton: str

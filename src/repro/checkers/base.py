@@ -41,8 +41,8 @@ from ..ir.values import Variable
 from ..smt.terms import BoolTerm
 from ..vfg.builder import VFGBundle
 from ..vfg.graph import DefNode, VFGNode
-from ..detection.reachability import ReachabilityIndexCache, SinkReachabilityIndex
-from ..detection.realizability import PathQuery, RealizabilityChecker, VerdictCache
+from ..detection.reachability import SinkReachabilityIndex
+from ..detection.realizability import PathQuery, RealizabilityChecker
 from ..detection.search import (
     PathSearcher,
     SearchLimits,
@@ -183,8 +183,6 @@ class SourceSinkChecker:
         collect_suppressed: bool = False,
         sink_reachability: bool = True,
         guard_pruning: bool = True,
-        dead_memo: bool = True,
-        index_cache: Optional[ReachabilityIndexCache] = None,
         detect_workers: int = 1,
         budget=None,
         tracer=None,
@@ -204,8 +202,6 @@ class SourceSinkChecker:
         # refute — the ones the suppressed-candidate diagnostics exist to
         # explain — so the diagnostic mode turns it off.
         self.guard_pruning = guard_pruning and not collect_suppressed
-        self.dead_memo = dead_memo
-        self.index_cache = index_cache
         #: processes for the per-source loop (1 = in this process)
         self.detect_workers = max(1, detect_workers)
         #: optional repro.analysis.budget.Budget — checked between sources
@@ -243,8 +239,8 @@ class SourceSinkChecker:
         """The VFG nodes at which :meth:`sinks_at` could ever yield a sink
         (an over-approximation, independent of the source statement).
 
-        Drives the sink-reachability index and the dead-state memo;
-        ``None`` (the property-agnostic default) disables both.
+        Drives the sink-reachability index; ``None`` (the
+        property-agnostic default) disables it.
         """
         return None
 
@@ -284,31 +280,15 @@ class SourceSinkChecker:
 
     # ----- enumeration plumbing ----------------------------------------------
 
-    def _reach_index(
-        self, sinks: Optional[Set[VFGNode]]
-    ) -> Optional[SinkReachabilityIndex]:
-        if not self.sink_reachability or not sinks:
+    def _reach_index(self) -> Optional[SinkReachabilityIndex]:
+        """The backward index over this checker's sink set, built once
+        per run (``None`` when pruning is off or there is no sink set)."""
+        if not self.sink_reachability:
             return None
-        cache = self.index_cache
-        if cache is None:
-            return SinkReachabilityIndex(
-                self.bundle.vfg, sinks, self.limits.context_depth
-            )
-        return cache.get(self.bundle.vfg, sinks, self.limits.context_depth)
-
-    def _make_searcher(
-        self,
-        index: Optional[SinkReachabilityIndex],
-        sinks: Optional[Set[VFGNode]],
-    ) -> PathSearcher:
-        return PathSearcher(
-            self.bundle,
-            self.limits,
-            reach_index=index,
-            guard_pruning=self.guard_pruning,
-            dead_memo=self.dead_memo,
-            sink_nodes=sinks,
-        )
+        sinks = self.sink_node_set()
+        if not sinks:
+            return None
+        return SinkReachabilityIndex(self.bundle.vfg, sinks, self.limits.context_depth)
 
     # ----- driver -----------------------------------------------------------
 
@@ -335,8 +315,7 @@ class SourceSinkChecker:
 
     def _run_serial(self, source_list: Sequence[Source]) -> List[SourceOutcome]:
         """The per-source loop: one outcome per source, in order."""
-        sinks = self.sink_node_set()
-        index = self._reach_index(sinks)
+        index = self._reach_index()
         claimed: Set[Tuple] = set()
         outcomes: List[SourceOutcome] = []
         for source in source_list:
@@ -344,14 +323,13 @@ class SourceSinkChecker:
                 f"checker:{self.kind}"
             ):
                 break  # wall budget expired: report what we have so far
-            outcomes.append(self._check_source(source, index, sinks, claimed))
+            outcomes.append(self._check_source(source, index, claimed))
         return outcomes
 
     def _check_source(
         self,
         source: Source,
         index: Optional[SinkReachabilityIndex],
-        sinks: Optional[Set[VFGNode]],
         claimed: Set[Tuple],
     ) -> SourceOutcome:
         """Search one source and solve its candidates in discovery order.
@@ -407,7 +385,9 @@ class SourceSinkChecker:
                 outcome.reports.append(self._make_report(query, result))
             return emitted
 
-        searcher = self._make_searcher(index, sinks)
+        searcher = PathSearcher(
+            self.bundle, self.limits, reach_index=index, guard_pruning=self.guard_pruning
+        )
         with self.tracer.span("enumerate", checker=self.kind, source=source_inst.label):
             searcher.search(origin, on_node, alias_guard=alias_guard)
         outcome.search = searcher.stats
@@ -442,8 +422,8 @@ class SourceSinkChecker:
         Returns ``None`` when the pool cannot help or cannot run (fewer
         than two parts, pool creation failed, a worker died) — the
         caller then runs the loop in this process, so the run always
-        completes with the same reports.  Workers solve with a fresh
-        verdict cache and a budget holding the wall time that remains.
+        completes with the same reports.  Workers get a budget holding
+        the wall time that remains.
         """
         parts = partition_sources(source_list, self.detect_workers)
         if len(parts) < 2:
@@ -460,10 +440,8 @@ class SourceSinkChecker:
                 "collect_suppressed": self.collect_suppressed,
                 "sink_reachability": self.sink_reachability,
                 "guard_pruning": self.guard_pruning,
-                "dead_memo": self.dead_memo,
             },
             "solver": {
-                "use_cube_and_conquer": realizability.use_cube_and_conquer,
                 "solver_max_conflicts": realizability.solver_max_conflicts,
                 "order_constraints": realizability.order_constraints,
                 "memory_model": realizability.orders.memory_model,
@@ -568,12 +546,10 @@ def _worker_checker(payload: dict):
         lock_analysis = LockAnalysis(bundle.module)
     realizability = RealizabilityChecker(
         bundle,
-        use_cube_and_conquer=solver["use_cube_and_conquer"],
         solver_max_conflicts=solver["solver_max_conflicts"],
         order_constraints=solver["order_constraints"],
         lock_analysis=lock_analysis,
         memory_model=solver["memory_model"],
-        cache=VerdictCache(),
         solver_timeout=solver["solver_timeout"],
         budget=budget,
     )

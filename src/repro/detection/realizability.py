@@ -11,13 +11,12 @@ together with a *witness order* extracted from the model.
 
 Path queries are mutually independent (§5.2); the checkers exploit
 that at the level of whole sources (``detect_workers``, see
-:mod:`repro.checkers.base`), so this module decides one query at a time.
-Verdicts are memoized in a :class:`VerdictCache` keyed on the
-canonicalized Φ_all (interning makes structural equality identity, so
-the formula object itself is the key), shared across all checkers of one
-``Canary`` run.  Per-query budgets (``solver_timeout`` seconds,
-optionally clipped by the run's :class:`~repro.analysis.budget.Budget`)
-make a stalled query return ``UNKNOWN`` with the reason recorded.  A
+:mod:`repro.checkers.base`), so this module decides one query at a time,
+each with one fresh solver: no verdict outlives its query, so no answer
+depends on an earlier query or request.  Per-query budgets
+(``solver_timeout`` seconds, optionally clipped by the run's
+:class:`~repro.analysis.budget.Budget`) make a stalled query return
+``UNKNOWN`` with the reason recorded.  A
 dead detection worker is counted in ``pool_failures`` with the
 triggering exception, and :meth:`RealizabilityChecker.degradation_summary`
 turns the counters into the report's degradation warnings.
@@ -25,7 +24,6 @@ turns the counters into the report's degradation warnings.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -42,7 +40,6 @@ __all__ = [
     "PathQuery",
     "RealizabilityChecker",
     "RealizabilityResult",
-    "VerdictCache",
 ]
 
 
@@ -85,67 +82,16 @@ class RealizabilityResult:
     unknown_reason: str = ""
 
 
-#: a cached verdict: (verdict, ints, bool atoms, unknown reason)
-_CacheEntry = Tuple[str, Dict[str, int], Dict[str, bool], str]
-
-
-class VerdictCache:
-    """Structural Φ_all → verdict memo, shared across checkers of a run.
-
-    Keys are the formula terms themselves: the term DSL hash-conses, so
-    two structurally identical Φ_all are the same object and repeated
-    queries (the common case when many paths share guards and order
-    skeletons, cf. DFI's reuse of solved sub-queries) hit the cache.
-    Entries store only plain data, materialized into fresh
-    :class:`RealizabilityResult`\\ s.  Thread-safe (the daemon shares
-    one cache across concurrent requests); hit/miss counters are exact.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[BoolTerm, _CacheEntry] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def peek(self, formula: BoolTerm) -> Optional[_CacheEntry]:
-        """Look up without touching the hit/miss counters (callers count
-        via :meth:`record` once they commit to using the answer)."""
-        with self._lock:
-            return self._entries.get(formula)
-
-    def record(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-
-    def store(self, formula: BoolTerm, entry: _CacheEntry) -> None:
-        with self._lock:
-            self._entries[formula] = entry
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 class RealizabilityChecker:
     """Assembles Φ_all and decides it."""
 
     def __init__(
         self,
         bundle: VFGBundle,
-        use_cube_and_conquer: bool = False,
         solver_max_conflicts: Optional[int] = 100_000,
         order_constraints: bool = True,
         lock_analysis=None,
         memory_model: str = "sc",
-        cache: Optional[VerdictCache] = None,
         solver_timeout: Optional[float] = None,
         budget=None,
         metrics: Optional[MetricsRegistry] = None,
@@ -155,7 +101,6 @@ class RealizabilityChecker:
         self.orders = OrderConstraintBuilder(
             bundle, lock_analysis=lock_analysis, memory_model=memory_model
         )
-        self.use_cube_and_conquer = use_cube_and_conquer
         self.solver_max_conflicts = solver_max_conflicts
         self.solver_timeout = solver_timeout
         #: optional repro.analysis.budget.Budget — clips per-query
@@ -163,7 +108,6 @@ class RealizabilityChecker:
         #: the budget object never crosses a process boundary)
         self.budget = budget
         self.order_constraints = order_constraints
-        self.cache = cache
         self._last_pool_error = ""
         #: the single home of the solver counters; shared with the run's
         #: AnalysisReport when the pipeline constructs the checker
@@ -179,8 +123,6 @@ class RealizabilityChecker:
             "unknown",
             "unknown_conflicts",
             "unknown_deadline",
-            "cache_hits",
-            "cache_misses",
         ):
             self._counter(key)
         self._counter("solve_seconds").add(0.0)  # promote to float
@@ -275,23 +217,13 @@ class RealizabilityChecker:
 
     # ----- deciding ---------------------------------------------------------
 
-    def _bump(
-        self,
-        verdict: str,
-        cache_hit: Optional[bool],
-        seconds: float,
-        reason: str = "",
-    ) -> None:
+    def _bump(self, verdict: str, seconds: float, reason: str = "") -> None:
         """Merge one query's counters."""
         self._counter("queries").add(1)
         self._counter(verdict).add(1)
         if verdict == UNKNOWN and reason:
             self._counter(f"unknown_{reason.replace('-', '_')}").add(1)
-        if cache_hit is not None:
-            self._counter("cache_hits" if cache_hit else "cache_misses").add(1)
         self._counter("solve_seconds").add(seconds)
-        if self.cache is not None and cache_hit is not None:
-            self.cache.record(cache_hit)
 
     def _note_pool_failure(self, context: str, exc: BaseException) -> None:
         """Record one worker/pool death — never swallowed silently."""
@@ -330,14 +262,14 @@ class RealizabilityChecker:
         bools: Dict[str, bool],
         reason: str = "",
     ) -> RealizabilityResult:
-        """Rebuild a result from plain (picklable / cacheable) solve data."""
+        """Build a result from the plain solve data."""
         if verdict != SAT:
             # UNSAT: refuted.  UNKNOWN: budget exhausted — soundy choice,
             # do not report (low FP bias), but carry the reason so callers
             # can distinguish "proved infeasible" from "gave up".
             return RealizabilityResult(False, verdict, formula, unknown_reason=reason)
         witness: Dict[str, int] = {}
-        witness_env: Dict[str, Dict] = {"ints": {}, "bools": dict(bools)}
+        witness_env: Dict[str, Dict] = {"ints": {}, "bools": bools}
         for name, value in ints.items():
             if name.startswith("O") and name[1:].isdigit():
                 # Statement order variables O<label>.
@@ -350,24 +282,15 @@ class RealizabilityChecker:
         return self.check_formula(self.formula_for(query))
 
     def check_formula(self, formula: BoolTerm) -> RealizabilityResult:
-        """Decide one assembled Φ_all, consulting the verdict cache."""
+        """Decide one assembled Φ_all with one fresh solver."""
         tracer = self.tracer
-        if self.cache is not None:
-            entry = self.cache.peek(formula)
-            if entry is not None:
-                verdict, ints, bools, reason = entry
-                with tracer.span("solver.query", cached=True) as span:
-                    span.set("verdict", verdict)
-                self._bump(verdict, cache_hit=True, seconds=0.0, reason=reason)
-                return self._materialize(formula, verdict, ints, bools, reason)
         recorder = None
-        with tracer.span("solver.query", cached=False) as span:
+        with tracer.span("solver.query") as span:
             if tracer.enabled:
                 recorder = tracer.recorder(span.context())
             verdict, ints, bools, seconds, reason = solve_formula(
                 formula,
                 max_conflicts=self.solver_max_conflicts,
-                use_cube=self.use_cube_and_conquer,
                 timeout=self.query_timeout(),
                 recorder=recorder,
             )
@@ -376,9 +299,5 @@ class RealizabilityChecker:
                 span.set("unknown_reason", reason)
         if recorder is not None:
             tracer.ingest(recorder.records)
-        if self.cache is not None:
-            self.cache.store(formula, (verdict, ints, bools, reason))
-            self._bump(verdict, cache_hit=False, seconds=seconds, reason=reason)
-        else:
-            self._bump(verdict, cache_hit=None, seconds=seconds, reason=reason)
+        self._bump(verdict, seconds, reason)
         return self._materialize(formula, verdict, ints, bools, reason)

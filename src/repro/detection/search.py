@@ -13,10 +13,10 @@ whether a sink has been hit.  The callback may return the number of
 candidates it emitted at that node; the searcher uses the count to
 enforce ``max_paths_per_source``.
 
-Three demand-driven prunes keep the DFS out of useless subtrees — all
-three are *exact* with respect to the reported bug keys (they only skip
-work whose candidates the solver would refute, or subtrees that contain
-no sink node at all):
+Two demand-driven prunes keep the DFS out of useless subtrees — both
+are *exact* with respect to the reported bug keys (they only skip work
+whose candidates the solver would refute, or subtrees that contain no
+sink node at all):
 
 * **sink reachability** — a
   :class:`~repro.detection.reachability.SinkReachabilityIndex` refuses
@@ -25,11 +25,7 @@ no sink node at all):
 * **incremental guard pruning** — a
   :class:`~repro.smt.simplify.GuardPrefix` folds each edge guard into a
   running difference-bound store; a definitely-unsat prefix cuts the
-  subtree, since every extension's Φ_all conjoins a superset of it;
-* **dead-state memo** — a ``(node, context, guard-fingerprint)`` state
-  whose subtree was fully explored (no truncation, no on-path cycle
-  block) without touching a sink node is dead for the rest of this
-  source's search and is never re-explored.
+  subtree, since every extension's Φ_all conjoins a superset of it.
 
 Hitting a search bound is no longer silent: per-limit truncation
 counters are kept and surfaced as soundness warnings by the driver.
@@ -76,8 +72,6 @@ class SearchStatistics:
     candidates: int = 0
     pruned_unreachable: int = 0
     pruned_guard: int = 0
-    memo_hits: int = 0
-    memo_dead_states: int = 0
     truncated_depth: int = 0
     truncated_visits: int = 0
     truncated_paths: int = 0
@@ -87,8 +81,6 @@ class SearchStatistics:
         self.candidates += other.candidates
         self.pruned_unreachable += other.pruned_unreachable
         self.pruned_guard += other.pruned_guard
-        self.memo_hits += other.memo_hits
-        self.memo_dead_states += other.memo_dead_states
         self.truncated_depth += other.truncated_depth
         self.truncated_visits += other.truncated_visits
         self.truncated_paths += other.truncated_paths
@@ -181,8 +173,6 @@ class PathSearcher:
         *,
         reach_index: Optional[SinkReachabilityIndex] = None,
         guard_pruning: bool = False,
-        dead_memo: bool = False,
-        sink_nodes: Optional[Set[VFGNode]] = None,
     ) -> None:
         self.bundle = bundle
         #: forward adjacency — the summary layer's demand-loading view
@@ -192,10 +182,6 @@ class PathSearcher:
         self.limits = limits
         self.reach_index = reach_index
         self.guard_pruning = guard_pruning
-        # The dead-state memo needs the sink set to decide deadness; a
-        # property-agnostic search (no sink set) runs unmemoized.
-        self.dead_memo = dead_memo and sink_nodes is not None
-        self.sink_nodes = sink_nodes
         self.visits = 0
         self.paths_emitted = 0
         self.stats = SearchStatistics()
@@ -227,7 +213,6 @@ class PathSearcher:
                 # no extension can be realizable, so nothing to search.
                 self.stats.pruned_guard += 1
                 return self.stats
-        memo: Optional[Set[Tuple]] = set() if self.dead_memo else None
         self._dfs(
             origin,
             path,
@@ -235,12 +220,9 @@ class PathSearcher:
             context=(),
             avail=INFINITE_AVAIL,
             prefix=prefix,
-            memo=memo,
             on_node=on_node,
         )
         self.stats.visits = self.visits
-        if memo is not None:
-            self.stats.memo_dead_states = len(memo)
         return self.stats
 
     def _truncate(self, limit: str) -> None:
@@ -264,25 +246,15 @@ class PathSearcher:
         context: Tuple[int, ...],
         avail: int,
         prefix: Optional[GuardPrefix],
-        memo: Optional[Set[Tuple]],
         on_node: Callable[[VFGNode, ValueFlowPath], Optional[int]],
-    ) -> Tuple[bool, bool]:
-        """Explore below ``node``; returns ``(clean, saw_sink)``.
-
-        ``clean`` means the subtree was fully explored without hitting a
-        limit or an on-path cycle block, so its (path-independent)
-        outcome may be memoized; ``saw_sink`` means some node of the
-        subtree belongs to the sink set.
-        """
+    ) -> None:
+        """Explore every admissible path below ``node``."""
         out_edges = self.graph.out_edges(node)
         if not out_edges:
-            return True, False
+            return
         if len(path.edges) >= self.limits.max_depth:
             self._truncate("max_depth")
-            return False, False
-        clean = True
-        saw_sink = False
-        sink_nodes = self.sink_nodes
+            return
         # hoisted out of the per-edge loop: this is the enumeration hot
         # path (one iteration per VFG edge visited)
         stats = self.stats
@@ -293,16 +265,13 @@ class PathSearcher:
         for edge in out_edges:
             if self.visits >= max_visits:
                 self._truncate("max_visits")
-                return False, saw_sink
+                return
             if self.paths_emitted >= max_paths:
                 self._truncate("max_paths_per_source")
-                return False, saw_sink
+                return
             dst = edge.dst
             if dst in on_path_nodes:
-                # Cycle block: the outcome depends on the current path,
-                # so the subtree must not be memoized as dead.
-                clean = False
-                continue
+                continue  # cycle block: a path visits each node once
             new_context = self._step_context(edge, context)
             if new_context is None:
                 continue
@@ -325,32 +294,17 @@ class PathSearcher:
                     stats.pruned_guard += 1
                     prefix.pop()
                     continue
-            if memo is not None:
-                state = (dst, new_context, prefix.fingerprint() if prefix else None)
-                if state in memo:
-                    stats.memo_hits += 1
-                    if pushed:
-                        prefix.pop()
-                    continue
             self.visits += 1
             path.edges.append(edge)
             on_path_nodes.add(dst)
             emitted = on_node(dst, path) or 0
             self.paths_emitted += emitted
             stats.candidates += emitted
-            child_clean, child_sink = self._dfs(
-                dst, path, on_path_nodes, new_context, new_avail, prefix, memo, on_node
-            )
-            sub_sink = child_sink or (sink_nodes is not None and dst in sink_nodes)
-            if memo is not None and child_clean and not sub_sink:
-                memo.add(state)
-            clean = clean and child_clean
-            saw_sink = saw_sink or sub_sink
+            self._dfs(dst, path, on_path_nodes, new_context, new_avail, prefix, on_node)
             on_path_nodes.discard(dst)
             path.edges.pop()
             if pushed:
                 prefix.pop()
-        return clean, saw_sink
 
     _FORK_MARKER = -1
 

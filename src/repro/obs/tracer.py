@@ -325,28 +325,3 @@ class SpanRecorder:
         for key, value in attrs.items():
             span.set(key, value)
         return span
-
-    def record_span(self, name: str, start: float, end: float, **attrs) -> None:
-        """Append an already-timed span without touching the stack.
-
-        For work measured on helper threads (e.g. portfolio cubes) and
-        reported back to the recorder's owning thread: the span parents
-        under the owning thread's current span, but its timing is the
-        helper's."""
-        span_attrs: Dict[str, Any] = {}
-        for key, value in attrs.items():
-            if not isinstance(value, (str, int, float, bool, type(None))):
-                value = repr(value)
-            span_attrs[key] = value
-        self.records.append(
-            {
-                "name": name,
-                "parent_index": self._stack[-1] if self._stack else None,
-                "parent_ctx": self.parent_ctx,
-                "start": start,
-                "end": end,
-                "attrs": span_attrs,
-                "pid": os.getpid(),
-                "tid": threading.get_ident(),
-            }
-        )

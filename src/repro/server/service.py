@@ -1,8 +1,8 @@
 """The analysis service: a bounded worker pool over one resident store.
 
 One :class:`AnalysisService` owns the daemon's warm state — the shared
-:class:`~repro.analysis.artifacts.ArtifactStore` (memory layer, verdict
-cache, LRU reachability indexes, optional disk namespaces) — and a pool
+:class:`~repro.analysis.artifacts.ArtifactStore` (memory layer and
+optional disk namespaces) — and a pool
 of worker threads draining a submission queue.  Each request is
 isolated in three ways:
 
@@ -224,10 +224,6 @@ class AnalysisService:
             snapshot[f"server.reports_{key}"] = value
         for key, value in self.store.statistics().items():
             snapshot[f"store.{key}"] = value
-        snapshot["store.verdict_cache_entries"] = len(self.store.verdict_cache)
-        snapshot["store.verdict_cache_hits"] = self.store.verdict_cache.hits
-        for key, value in self.store.index_cache.statistics().items():
-            snapshot[f"store.index_cache_{key}"] = value
         return snapshot
 
     def health(self) -> Dict[str, Any]:

@@ -116,11 +116,6 @@ class GuardPrefix:
         self._order: List[BoolTerm] = []  # unique literals, push order
         self._frames: List[int] = []  # per-push: count of literals added
         self._unsat_depth: Optional[int] = None
-        #: memoized fingerprint() tuple; None = stale.  The dead-state
-        #: memo asks for the fingerprint at every DFS node, while pushes
-        #: that add literals are comparatively rare (guards repeat along
-        #: sibling paths), so caching turns the common case into O(1).
-        self._fp: Optional[Tuple[BoolTerm, ...]] = None
 
     @property
     def unsat(self) -> bool:
@@ -156,7 +151,6 @@ class GuardPrefix:
             if isinstance(lit, Not):
                 self._neg_args.add(lit.arg)
             self._order.append(lit)
-            self._fp = None
             self._frames[-1] += 1
             bounds = _literal_bounds(lit)
             if bounds is not None:
@@ -171,8 +165,6 @@ class GuardPrefix:
 
     def pop(self) -> None:
         added = self._frames.pop()
-        if added:
-            self._fp = None
         for _ in range(added):
             lit = self._order.pop()
             self._lits.discard(lit)
@@ -181,18 +173,6 @@ class GuardPrefix:
         self._store.pop()
         if self._unsat_depth is not None and self._unsat_depth >= len(self._frames):
             self._unsat_depth = None
-
-    def fingerprint(self) -> Tuple[BoolTerm, ...]:
-        """The accumulated literal set as a hashable key.
-
-        Terms are interned, so the tuple is cheap to hash; it is
-        insertion-ordered, which under-approximates set equality (two
-        orderings of the same set get distinct keys) — fine for the
-        dead-state memo, which only loses a hit, never soundness.
-        """
-        if self._fp is None:
-            self._fp = tuple(self._order)
-        return self._fp
 
 
 def simplify_conjunction(term: BoolTerm) -> BoolTerm:

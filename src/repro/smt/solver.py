@@ -302,7 +302,6 @@ def is_satisfiable(*terms: BoolTerm) -> bool:
 def solve_formula(
     formula: BoolTerm,
     max_conflicts: Optional[int] = None,
-    use_cube: bool = False,
     timeout: Optional[float] = None,
     recorder=None,
 ) -> Tuple[Result, Dict[str, int], Dict[str, bool], float, str]:
@@ -311,9 +310,9 @@ def solve_formula(
     Every path query goes through here: ``(verdict, int_assignment,
     bool_atom_assignment, solve_seconds, unknown_reason)``.  The result
     deliberately contains no ``Model`` or term objects, so it can be
-    cached and carried across processes as plain data.  ``timeout`` is
-    the per-query wall budget in seconds (relative, so it is meaningful
-    in any process); an exhausted budget yields ``UNKNOWN`` with
+    carried across processes as plain data.  ``timeout`` is the
+    per-query wall budget in seconds (relative, so it is meaningful in
+    any process); an exhausted budget yields ``UNKNOWN`` with
     ``unknown_reason`` set (``''`` on decided verdicts).
 
     ``recorder`` is an optional :class:`~repro.obs.tracer.SpanRecorder`;
@@ -321,13 +320,13 @@ def solve_formula(
     the verdict and the solver's own counters (theory rounds, SAT
     conflicts).
 
-    Every query gets a fresh :class:`Solver` (or cube-and-conquer split),
-    so the answer is a pure function of the arguments: nothing a query
-    leaves behind can change a later query's verdict or model.
+    Every query gets a fresh :class:`Solver`, so the answer is a pure
+    function of the arguments: nothing a query leaves behind can change
+    a later query's verdict or model.
     """
     from ..testing.faults import fault_point
 
-    span = recorder.span("solver.solve", cube=use_cube) if recorder is not None else None
+    span = recorder.span("solver.solve") if recorder is not None else None
     t0 = time.perf_counter()
     t0_mono = time.monotonic()
     fault_point("solver:solve")
@@ -335,22 +334,14 @@ def solve_formula(
         # The budget is anchored at query entry: time lost before the
         # solver proper starts (e.g. an injected stall) counts against it.
         timeout = max(0.0, timeout - (time.monotonic() - t0_mono))
-    reason = ""
-    if use_cube:
-        from .portfolio import cube_solve_model
-
-        verdict, model, reason = cube_solve_model(
-            formula, max_conflicts=max_conflicts, timeout=timeout, recorder=recorder
-        )
-    else:
-        solver = Solver(max_conflicts=max_conflicts, timeout=timeout)
-        solver.add(formula)
-        verdict = solver.check()
-        model = solver.model()
-        reason = solver.unknown_reason or ""
-        if span is not None:
-            for key, value in solver.statistics.items():
-                span.set(key, value)
+    solver = Solver(max_conflicts=max_conflicts, timeout=timeout)
+    solver.add(formula)
+    verdict = solver.check()
+    model = solver.model()
+    reason = solver.unknown_reason or ""
+    if span is not None:
+        for key, value in solver.statistics.items():
+            span.set(key, value)
     ints: Dict[str, int] = {}
     bools: Dict[str, bool] = {}
     if verdict is SAT and model is not None:

@@ -119,9 +119,6 @@ class ValueFlowGraph:
         #: rebuild any adjacency list exactly from per-function spans.
         self._edges: List[VFGEdge] = []
         self.num_edges = 0
-        #: bumped on every mutation — derived structures (e.g. the
-        #: sink-reachability indexes) record it to detect staleness
-        self.version = 0
 
     # ----- construction ---------------------------------------------------
 
@@ -164,7 +161,6 @@ class ValueFlowGraph:
         self._in.setdefault(src, [])
         self._edges.append(edge)
         self.num_edges += 1
-        self.version += 1
         return edge
 
     # ----- queries -----------------------------------------------------------

@@ -72,11 +72,10 @@ class TestAnalyzerCli:
         assert rc_serial == rc_pooled == 1
         assert pooled == serial
 
-    def test_cube_flag(self, capsys):
-        rc = repro_main([str(CORPUS / "uaf_basic.mcc"), "--cube"])
+    def test_default_run_prints_witness(self, capsys):
+        rc = repro_main([str(CORPUS / "uaf_basic.mcc")])
         out = capsys.readouterr().out
         assert rc == 1
-        # The cube backend must still produce a witness interleaving.
         assert "witness interleaving" in out
 
     def test_stats_flag(self, capsys):
@@ -86,7 +85,13 @@ class TestAnalyzerCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--parallel"], ["--workers", "2"], ["--backend", "process"], ["--summary-workers", "2"]],
+        [
+            ["--parallel"],
+            ["--workers", "2"],
+            ["--backend", "process"],
+            ["--summary-workers", "2"],
+            ["--cube"],
+        ],
     )
     def test_removed_pool_flags_rejected(self, flags):
         with pytest.raises(SystemExit):

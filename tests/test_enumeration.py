@@ -11,7 +11,6 @@ import pytest
 from repro.analysis import AnalysisConfig, Canary
 from repro.detection import (
     PathSearcher,
-    ReachabilityIndexCache,
     SearchLimits,
     SinkReachabilityIndex,
 )
@@ -24,6 +23,7 @@ from repro.__main__ import main as repro_main
 from test_corpus import CORPUS_FILES, _parse_directives
 from test_parallel_engine import report_list, suppressed_list
 from programs import SIMPLE_UAF
+from fuzz_gen import detection_scaled_program
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -111,7 +111,6 @@ class TestGuardPrefix:
             prefix.pop()
         assert len(prefix) == 0
         assert not prefix.unsat
-        assert prefix.fingerprint() == ()
 
     def test_unsat_clears_on_pop_of_offending_frame(self):
         p = bool_var("p")
@@ -129,18 +128,17 @@ class TestGuardPrefix:
         assert not prefix.push(lt(x, y))
         assert prefix.push(lt(y, x))  # caught at the push, not at a batch check
 
-    def test_fingerprint_reflects_literal_set(self):
+    def test_len_counts_unique_literals(self):
         p, q = bool_var("p"), bool_var("q")
         prefix = GuardPrefix()
         prefix.push(p)
-        fp1 = prefix.fingerprint()
         prefix.push(q)
-        assert prefix.fingerprint() != fp1
-        prefix.push(q)  # duplicate: no change
-        assert prefix.fingerprint() == (p, q)
+        prefix.push(q)  # duplicate: adds no literal
+        assert len(prefix) == 2
         prefix.pop()
+        assert len(prefix) == 2  # the duplicate's frame held nothing
         prefix.pop()
-        assert prefix.fingerprint() == fp1
+        assert len(prefix) == 1
 
 
 # ----- SinkReachabilityIndex -------------------------------------------------
@@ -206,31 +204,66 @@ class TestSinkReachabilityIndex:
         assert index.num_sinks == 1
         assert index.min_need("a") == 0
 
+    def test_same_sink_set_same_answers(self):
+        vfg = _graph([("a", "b", "ret", 1), ("b", "s", "direct"), ("c", "a", "call", 1)])
+        first = SinkReachabilityIndex(vfg, {"s"})
+        second = SinkReachabilityIndex(vfg, {"s"})
+        for node in ("a", "b", "c", "s", "unrelated"):
+            assert first.min_need(node) == second.min_need(node)
 
-class TestReachabilityIndexCache:
-    def test_same_sink_set_shares_index(self):
+    def test_distinct_sink_sets_differ(self):
+        vfg = _graph([("a", "s", "direct"), ("b", "t", "direct")])
+        to_s = SinkReachabilityIndex(vfg, {"s"})
+        to_t = SinkReachabilityIndex(vfg, {"t"})
+        assert to_s.can_enter("a") and not to_s.can_enter("b")
+        assert to_t.can_enter("b") and not to_t.can_enter("a")
+
+    def test_index_built_after_mutation_sees_new_edge(self):
         vfg = _graph([("a", "s", "direct")])
-        cache = ReachabilityIndexCache()
-        i1 = cache.get(vfg, {"s"})
-        i2 = cache.get(vfg, {"s"})
-        assert i1 is i2
-        assert cache.builds == 1 and cache.shared_hits == 1
-
-    def test_distinct_sink_sets_build_separately(self):
-        vfg = _graph([("a", "s", "direct"), ("a", "t", "direct")])
-        cache = ReachabilityIndexCache()
-        assert cache.get(vfg, {"s"}) is not cache.get(vfg, {"t"})
-        assert cache.builds == 2 and len(cache) == 2
-
-    def test_mutation_invalidates_cached_index(self):
-        vfg = _graph([("a", "s", "direct")])
-        cache = ReachabilityIndexCache()
-        stale = cache.get(vfg, {"s"})
-        assert not stale.can_enter("b")
+        before = SinkReachabilityIndex(vfg, {"s"})
+        assert not before.can_enter("b")
         vfg.add_edge("b", "a", TRUE, "direct")
-        fresh = cache.get(vfg, {"s"})
-        assert fresh is not stale
-        assert fresh.can_enter("b")
+        after = SinkReachabilityIndex(vfg, {"s"})
+        assert after.can_enter("b")
+        assert not before.can_enter("b")  # an index is a snapshot
+
+
+def _count_index_builds(monkeypatch, config):
+    """Analyze a multi-source program; return (builds, sources) per
+    checker run."""
+    from repro.checkers import base
+
+    runs = []
+    real_index, real_run = base.SinkReachabilityIndex, base.SourceSinkChecker.run
+
+    class Counting(real_index):
+        def __init__(self, *args, **kwargs):
+            runs[-1][0] += 1
+            super().__init__(*args, **kwargs)
+
+    def run(self):
+        runs.append([0, 0])
+        reports = real_run(self)
+        runs[-1][1] = self.statistics["sources"]
+        return reports
+
+    monkeypatch.setattr(base, "SinkReachabilityIndex", Counting)
+    monkeypatch.setattr(base.SourceSinkChecker, "run", run)
+    Canary(config).analyze_source(detection_scaled_program(2, 2, 0))
+    return runs
+
+
+class TestIndexPerRun:
+    def test_checker_builds_one_index_per_run(self, monkeypatch):
+        runs = _count_index_builds(monkeypatch, AnalysisConfig(use_cache=False))
+        assert runs and all(builds <= 1 for builds, _sources in runs)
+        assert any(builds == 1 and sources > 1 for builds, sources in runs)
+
+    def test_no_index_without_sink_reachability(self, monkeypatch):
+        runs = _count_index_builds(
+            monkeypatch, AnalysisConfig(use_cache=False, sink_reachability=False)
+        )
+        assert runs and all(builds == 0 for builds, _sources in runs)
 
 
 # ----- end-to-end exactness --------------------------------------------------
@@ -244,15 +277,13 @@ def _visits(report):
     return sum(st.get("visits", 0) for st in report.search_statistics.values())
 
 
-_UNPRUNED = dict(
-    sink_reachability=False, incremental_guard_pruning=False, dead_state_memo=False
-)
+_UNPRUNED = dict(sink_reachability=False, incremental_guard_pruning=False)
 
 
 class TestPrunedEquivalence:
     @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
     def test_corpus_same_keys_and_fewer_visits(self, path):
-        """The three prunes never change the reported bug keys, and never
+        """The two prunes never change the reported bug keys, and never
         visit more nodes than the reference DFS."""
         text = path.read_text()
         _expects, checkers, overrides = _parse_directives(text)

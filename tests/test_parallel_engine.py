@@ -1,5 +1,5 @@
-"""Realizability engine: term pickling, the verdict cache,
-cube-and-conquer budget/witness fixes, and serial vs. detection-pool
+"""Realizability engine: term pickling, one fresh solve per query,
+solver budgets reaching the solve, and serial vs. detection-pool
 equivalence over the regression corpus."""
 
 import pickle
@@ -8,23 +8,17 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro import AnalysisConfig, Canary
-from repro.detection import (
-    PathQuery,
-    RealizabilityChecker,
-    ValueFlowPath,
-    VerdictCache,
-)
+from repro.detection import PathQuery, RealizabilityChecker, ValueFlowPath
+from repro.detection import realizability
 from repro.frontend import parse_program
 from repro.lowering import lower_program
 from repro.smt import (
     FALSE,
     SAT,
     TRUE,
-    UNSAT,
     Solver,
     and_,
     bool_var,
-    cube_solve,
     eq,
     implies,
     int_const,
@@ -36,7 +30,7 @@ from repro.smt import (
     solve_formula,
     structural_key,
 )
-from repro.smt import portfolio
+
 from repro.vfg import ObjNode, build_vfg
 
 from programs import FIG2_BUGGY, SIMPLE_UAF
@@ -123,87 +117,84 @@ class TestTermPickling:
         assert remote[1]["x"] < remote[1]["y"]
 
 
-class TestVerdictCache:
-    def test_repeat_query_hits(self):
+class TestFreshSolvePerQuery:
+    def test_repeat_query_solves_again(self):
         bundle = bundle_for(SIMPLE_UAF)
-        cache = VerdictCache()
-        checker = RealizabilityChecker(bundle, cache=cache)
+        checker = RealizabilityChecker(bundle)
         query = empty_query(bundle)
         first = checker.check(query)
         second = checker.check(query)
         assert first.realizable and second.realizable
         assert first.witness_order == second.witness_order
-        assert checker.statistics["cache_misses"] == 1
-        assert checker.statistics["cache_hits"] == 1
-        assert cache.hits == 1 and cache.misses == 1
-        assert 0.0 < cache.hit_rate < 1.0
-        assert len(cache) == 1
+        assert checker.statistics["queries"] == 2
+        assert checker.statistics["sat"] == 2
 
-    def test_cache_shared_across_checkers(self):
+    def test_checkers_share_no_verdicts(self):
         bundle = bundle_for(SIMPLE_UAF)
-        cache = VerdictCache()
-        first = RealizabilityChecker(bundle, cache=cache)
-        second = RealizabilityChecker(bundle, cache=cache)
+        first = RealizabilityChecker(bundle)
+        second = RealizabilityChecker(bundle)
         query = empty_query(bundle)
         first.check(query)
         second.check(query)
-        assert second.statistics["cache_hits"] == 1
-        assert cache.hits == 1
+        assert first.statistics["queries"] == second.statistics["queries"] == 1
 
-
-class TestCubeAndConquer:
-    def test_conflict_budget_plumbed_to_cubes(self, monkeypatch):
-        seen = []
-
-        class Recording(Solver):
-            def __init__(self, *args, **kwargs):
-                seen.append(kwargs.get("max_conflicts"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(portfolio, "Solver", Recording)
-        g1, g2 = bool_var("g1"), bool_var("g2")
-        x, y = int_var("x"), int_var("y")
-        formula = and_(or_(g1, g2), implies(g1, lt(x, y)), implies(g2, lt(y, x)))
-        assert cube_solve(formula, max_conflicts=1234) == SAT
-        assert seen and all(budget == 1234 for budget in seen)
-
-    def test_checker_budget_reaches_cube_solver(self, monkeypatch):
-        seen = []
-
-        class Recording(Solver):
-            def __init__(self, *args, **kwargs):
-                seen.append(kwargs.get("max_conflicts"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(portfolio, "Solver", Recording)
+    def test_starved_checker_leaves_no_verdict_behind(self):
         bundle = bundle_for(FIG2_BUGGY)
-        checker = RealizabilityChecker(
-            bundle, use_cube_and_conquer=True, solver_max_conflicts=777
-        )
-        result = checker.check(interference_query(bundle))
-        assert result.realizable
-        assert seen and all(budget == 777 for budget in seen)
-
-    def test_cube_sat_returns_witness(self):
-        # Regression: cube mode used to discard the winning cube's model,
-        # yielding reports with empty witness_order/witness_env.
-        bundle = bundle_for(FIG2_BUGGY)
-        cube = RealizabilityChecker(bundle, use_cube_and_conquer=True)
-        plain = RealizabilityChecker(bundle)
         query = interference_query(bundle)
-        cube_result = cube.check(query)
-        plain_result = plain.check(query)
-        assert cube_result.verdict == plain_result.verdict == SAT
-        assert cube_result.witness_order
-        assert all(k.startswith("O") for k in cube_result.witness_order)
-        # The witness must satisfy the formula, like the monolithic path's.
+        starved = RealizabilityChecker(bundle, solver_timeout=0.0).check(query)
+        assert not starved.realizable
+        assert starved.unknown_reason == "deadline"
+        assert RealizabilityChecker(bundle).check(query).realizable
+
+
+def _recording_solve(monkeypatch):
+    """Patch the realizability layer's solve entry point to record the
+    budgets each query is given."""
+    seen = []
+    real = realizability.solve_formula
+
+    def recording(formula, max_conflicts=None, timeout=None, recorder=None):
+        seen.append((max_conflicts, timeout))
+        return real(formula, max_conflicts=max_conflicts, timeout=timeout, recorder=recorder)
+
+    monkeypatch.setattr(realizability, "solve_formula", recording)
+    return seen
+
+
+class TestPlainSolveEngine:
+    def test_conflict_budget_reaches_solver(self, monkeypatch):
+        seen = _recording_solve(monkeypatch)
+        bundle = bundle_for(FIG2_BUGGY)
+        checker = RealizabilityChecker(bundle, solver_max_conflicts=777)
+        assert checker.check(interference_query(bundle)).realizable
+        assert seen and all(budget == 777 for budget, _timeout in seen)
+
+    def test_timeout_reaches_solver(self, monkeypatch):
+        seen = _recording_solve(monkeypatch)
+        bundle = bundle_for(FIG2_BUGGY)
+        checker = RealizabilityChecker(bundle, solver_timeout=30.0)
+        checker.check(interference_query(bundle))
+        assert seen and all(timeout == 30.0 for _budget, timeout in seen)
+
+    def test_config_budget_reaches_solver(self, monkeypatch):
+        seen = _recording_solve(monkeypatch)
+        config = AnalysisConfig(use_cache=False, solver_max_conflicts=4321)
+        report = Canary(config).analyze_source(SIMPLE_UAF)
+        assert len(seen) == report.solver_statistics["queries"] > 0
+        assert all(budget == 4321 for budget, _timeout in seen)
+
+    def test_sat_returns_witness(self):
+        bundle = bundle_for(FIG2_BUGGY)
+        result = RealizabilityChecker(bundle).check(interference_query(bundle))
+        assert result.verdict == SAT
+        assert result.witness_order
+        assert all(k.startswith("O") for k in result.witness_order)
         solver = Solver()
-        solver.add(cube_result.formula)
+        solver.add(result.formula)
         assert solver.check() == SAT
 
-    def test_cube_bug_report_has_witness(self):
-        config = AnalysisConfig(cube_and_conquer=True)
-        report = Canary(config).analyze_source(SIMPLE_UAF)
+    def test_bug_report_has_witness(self):
+        report = Canary(AnalysisConfig()).analyze_source(SIMPLE_UAF)
         assert report.num_reports >= 1
         assert all(b.witness_order for b in report.bugs)
 
@@ -247,12 +238,12 @@ class TestDriverSurface:
         assert report.timings["parse"] >= 0.0
         assert report.timings["solving"] >= 0.0
 
-    def test_solver_statistics_include_cache(self):
+    def test_solver_statistics_count_one_solve_per_query(self):
         report = Canary(AnalysisConfig()).analyze_source(SIMPLE_UAF)
         s = report.solver_statistics
-        assert "cache_hits" in s and "cache_misses" in s
-        assert s["cache_hits"] + s["cache_misses"] == s["queries"]
-        assert 0.0 <= report.cache_hit_rate <= 1.0
+        assert "cache_hits" not in s and "cache_misses" not in s
+        assert s["sat"] + s["unsat"] + s["unknown"] == s["queries"] > 0
+        assert not hasattr(report, "cache_hit_rate")
 
     def test_checker_statistics_surfaced(self):
         report = Canary(AnalysisConfig()).analyze_source(SIMPLE_UAF)
@@ -262,4 +253,4 @@ class TestDriverSurface:
     def test_describe_statistics(self):
         report = Canary(AnalysisConfig()).analyze_source(SIMPLE_UAF)
         text = report.describe_statistics()
-        assert "queries" in text and "cache" in text and "timings" in text
+        assert "queries" in text and "timings" in text

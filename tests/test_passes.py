@@ -137,6 +137,9 @@ class TestConfigCacheKey:
             "solver_workers",
             "solver_backend",
             "summary_workers",
+            "cube_and_conquer",
+            "verdict_cache",
+            "dead_state_memo",
         ],
     )
     def test_pool_knobs_are_gone(self, knob):

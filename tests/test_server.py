@@ -20,6 +20,7 @@ from repro.server import AnalysisService, ReportRegistry
 from repro.server.app import make_server
 from repro.server.service import ConfigError
 
+from fuzz_gen import detection_scaled_program
 from test_corpus import _parse_directives
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
@@ -120,6 +121,34 @@ class TestRequestIsolation:
         assert {b["kind"] for b in df.result["bugs"]} <= {"double-free"}
         assert uaf.config_digest != df.config_digest
 
+    def test_starved_request_leaves_no_verdicts_behind(self, service):
+        # Every query of the first request runs out of solver budget; the
+        # next request on the same source, with the default budget, must
+        # still decide its own queries.
+        text = detection_scaled_program(4, 3, 0)
+        starved = service.analyze(
+            text, "detect.mcc", {"solver_timeout_seconds": 1e-9}, timeout=120
+        )
+        assert starved.status == "done", starved.error
+        default = service.analyze(text, "detect.mcc", {}, timeout=120)
+        assert default.status == "done", default.error
+        assert len(default.result["bugs"]) == 12
+        assert default.result["degradation_warnings"] == []
+
+    def test_default_request_leaves_no_verdicts_behind(self, service):
+        # The reverse order: verdicts decided under the default budget
+        # must not answer a later request whose budget is exhausted.
+        text = detection_scaled_program(4, 3, 0)
+        default = service.analyze(text, "detect.mcc", {}, timeout=120)
+        assert default.status == "done", default.error
+        assert len(default.result["bugs"]) == 12
+        starved = service.analyze(
+            text, "detect.mcc", {"solver_timeout_seconds": 1e-9}, timeout=120
+        )
+        assert starved.status == "done", starved.error
+        assert starved.result["bugs"] == []
+        assert any("deadline" in w for w in starved.result["degradation_warnings"])
+
     def test_unknown_knob_rejected(self, service):
         with pytest.raises(ConfigError):
             service.request_config({"no_such_knob": 1})
@@ -175,6 +204,10 @@ class TestConcurrentRequests:
         assert snapshot["server.analyze_seconds.count"] == 2
         assert snapshot["server.reports_done"] == 2
         assert snapshot["store.artifact_hits"] >= 0
+        assert not any(
+            key.startswith(("store.verdict_cache", "store.index_cache"))
+            for key in snapshot
+        )
 
 
 # ----- report registry -------------------------------------------------------
@@ -327,6 +360,9 @@ class TestHttpEndpoints:
             "solver_workers",
             "solver_backend",
             "summary_workers",
+            "cube_and_conquer",
+            "verdict_cache",
+            "dead_state_memo",
         ],
     )
     def test_removed_pool_knobs_rejected(self, http_server, knob):

@@ -1,10 +1,24 @@
-"""Unit tests for SMT internals: CNF encoding, difference logic, cubes."""
+"""Unit tests for SMT internals: CNF encoding, difference logic, and the
+one-shot ``solve_formula`` entry point every path query goes through."""
 
 import pytest
 
-from repro.smt import SAT, UNSAT, Solver, and_, bool_var, implies, int_var, lt, not_, or_
+from repro.smt import (
+    SAT,
+    UNKNOWN as UNKNOWN_VERDICT,
+    UNSAT,
+    Model,
+    Solver,
+    and_,
+    bool_var,
+    implies,
+    int_var,
+    lt,
+    not_,
+    or_,
+    solve_formula,
+)
 from repro.smt.cnf import CnfEncoder
-from repro.smt.portfolio import cube_solve, pick_split_atoms
 from repro.smt.sat import SatSolver, SAT as SAT_RES, UNSAT as UNSAT_RES, UNKNOWN
 from repro.smt.theory import (
     DifferenceBound,
@@ -197,35 +211,111 @@ class TestDifferenceLogicUnit:
         assert model["x"] - model["y"] <= -2
 
 
-class TestCubeAndConquer:
-    def test_pick_split_atoms_frequency(self):
-        a, b = bool_var("a"), bool_var("b")
-        f = and_(or_(a, b), or_(a, not_(b)), or_(a, bool_var("c")))
-        atoms = pick_split_atoms(f, k=1)
-        assert atoms == [a]
+# ----- one-shot solving ------------------------------------------------------
 
-    def test_cube_solve_sat(self):
-        a = bool_var("a")
-        assert cube_solve(a) == SAT
+a, b, c = bool_var("a"), bool_var("b"), bool_var("c")
+px, py = int_var("px"), int_var("py")
 
-    def test_cube_solve_unsat(self):
-        a = bool_var("a")
-        x, y = int_var("x"), int_var("y")
-        f = and_(or_(a, not_(a)), lt(x, y), lt(y, x))
-        assert cube_solve(f) == UNSAT
+#: UNSAT, but only after real CDCL conflicts: every assignment to {a, b}
+#: falsifies one clause, and no clause is unit before the first decision.
+FOUR_CLAUSE_UNSAT = and_(or_(a, b), or_(a, not_(b)), or_(not_(a), b), or_(not_(a), not_(b)))
 
-    def test_cube_solve_no_atoms(self):
-        assert cube_solve(TRUE) == SAT
 
-    def test_cube_agrees_with_monolithic(self):
-        g1, g2, g3 = (bool_var(f"g{i}") for i in range(3))
-        x, y = int_var("x"), int_var("y")
-        f = and_(
+def _agreement_formulas():
+    g1, g2, g3 = (bool_var(f"g{i}") for i in range(3))
+    x, y, z = int_var("x"), int_var("y"), int_var("z")
+    return [
+        # guarded orders: g3's branch is contradictory, g1/g2 are not
+        and_(
             or_(g1, g2, g3),
             implies(g1, lt(x, y)),
             implies(g2, lt(y, x)),
             implies(g3, and_(lt(x, y), lt(y, x))),
-        )
+        ),
+        # every branch forces a negative cycle
+        and_(or_(g1, g2), implies(g1, lt(x, x)), implies(g2, and_(lt(x, y), lt(y, x)))),
+        # a three-step order chain closed into a cycle
+        and_(lt(x, y), lt(y, z), lt(z, x)),
+        # the same chain left open
+        and_(lt(x, y), lt(y, z), le(x, z)),
+        FOUR_CLAUSE_UNSAT,
+        or_(a, b),
+    ]
+
+
+class TestOneShotSolve:
+    def test_solve_sat(self):
+        verdict, _ints, bools, _seconds, reason = solve_formula(a)
+        assert verdict == SAT
+        assert bools == {"a": True}
+        assert reason == ""
+
+    def test_solve_unsat(self):
+        x, y = int_var("x"), int_var("y")
+        formula = and_(or_(a, not_(a)), lt(x, y), lt(y, x))
+        assert solve_formula(formula)[0] == UNSAT
+
+    def test_solve_no_atoms(self):
+        verdict, ints, bools, _seconds, reason = solve_formula(TRUE)
+        assert verdict == SAT
+        assert ints == {} and bools == {} and reason == ""
+
+    @pytest.mark.parametrize("formula", _agreement_formulas())
+    def test_agrees_with_solver(self, formula):
         solver = Solver()
-        solver.add(f)
-        assert cube_solve(f) == solver.check()
+        solver.add(formula)
+        assert solve_formula(formula)[0] == solver.check()
+
+    def test_sat_formula_returns_model(self):
+        formula = and_(or_(a, b), or_(not_(a), c))
+        verdict, ints, bools, _seconds, reason = solve_formula(formula)
+        assert verdict == SAT
+        assert reason == ""
+        model = Model({bool_var(name): v for name, v in bools.items()}, ints)
+        assert model.eval(formula) is True
+
+    def test_arithmetic_sat_model_satisfies_original(self):
+        verdict, ints, bools, _seconds, _reason = solve_formula(and_(lt(px, py), c))
+        assert verdict == SAT
+        assert ints["px"] < ints["py"]
+        assert bools == {"c": True}
+
+    def test_unsat_has_no_model(self):
+        verdict, ints, bools, _seconds, reason = solve_formula(FOUR_CLAUSE_UNSAT)
+        assert verdict == UNSAT
+        assert ints == {} and bools == {}
+        assert reason == ""
+
+    def test_conflict_budget_yields_unknown_with_reason(self):
+        verdict, ints, bools, _seconds, reason = solve_formula(
+            FOUR_CLAUSE_UNSAT, max_conflicts=1
+        )
+        assert verdict == UNKNOWN_VERDICT
+        assert ints == {} and bools == {}
+        assert reason == "conflicts"
+
+    def test_timeout_yields_unknown_deadline(self):
+        verdict, _ints, _bools, _seconds, reason = solve_formula(
+            FOUR_CLAUSE_UNSAT, timeout=0.0
+        )
+        assert verdict == UNKNOWN_VERDICT
+        assert reason == "deadline"
+
+    def test_unbounded_same_formula_is_unsat(self):
+        verdict, _ints, _bools, _seconds, reason = solve_formula(FOUR_CLAUSE_UNSAT)
+        assert verdict == UNSAT
+        assert reason == ""
+
+    def test_starved_solve_leaves_nothing_behind(self):
+        # Each call builds a fresh solver: an exhausted budget on one
+        # call cannot change the verdict of the next call on the same
+        # formula.
+        assert solve_formula(FOUR_CLAUSE_UNSAT, timeout=0.0)[0] == UNKNOWN_VERDICT
+        assert solve_formula(FOUR_CLAUSE_UNSAT, max_conflicts=1)[0] == UNKNOWN_VERDICT
+        assert solve_formula(FOUR_CLAUSE_UNSAT)[0] == UNSAT
+
+    def test_decided_verdicts_have_empty_reason(self):
+        verdict, _ints, _bools, seconds, reason = solve_formula(or_(a, b))
+        assert verdict == SAT
+        assert reason == ""
+        assert seconds >= 0.0

@@ -111,22 +111,22 @@ class TestGuardPrefix:
         assert not prefix.push(le(x, y))  # compatible again
         assert not prefix.unsat
 
-    def test_fingerprint_cache_tracks_mutations(self):
+    def test_duplicate_literal_frame_pops_cleanly(self):
         a, b = bool_var("a"), bool_var("b")
         prefix = GuardPrefix()
         prefix.push(a)
-        fp1 = prefix.fingerprint()
-        assert prefix.fingerprint() is fp1  # memoized between mutations
         prefix.push(b)
-        fp2 = prefix.fingerprint()
-        assert fp2 == (a, b)
-        prefix.push(a)  # duplicate literal: no new entries
-        assert prefix.fingerprint() is fp2
+        prefix.push(a)  # duplicate literal: an empty frame
+        assert len(prefix) == 2
         prefix.pop()
         prefix.pop()
-        assert prefix.fingerprint() == fp1
+        assert len(prefix) == 1
+        # `a` survived both pops, so its complement is still refuted
+        assert prefix.push(not_(a))
         prefix.pop()
-        assert prefix.fingerprint() == ()
+        prefix.pop()
+        assert len(prefix) == 0
+        assert not prefix.push(not_(a))
 
 
 class TestCnfRoundTrip:
